@@ -24,6 +24,13 @@ EXIT_EXTERNAL = 4
 
 #: The O(W^2 H^2) oracle is kept honest by refusing absurd orders.
 NAIVE_MAX_ORDER = 40
+#: count_fast work grows with the number of non-empty row bands, about 2n^2
+#: for aztec:n, the worst family per order.  ``count aztec:20000`` took 9.6 s
+#: and 47 MiB peak RSS on a 2-core x86-64 host (Python 3.11, numpy 2.4).
+FAST_MAX_ORDER = 20000
+
+#: Count methods that run on the built region; the formula route needs none.
+_REGION_COUNTERS = {"naive": counting.count_naive, "fast": counting.count_fast}
 
 _FAMILY_SPECS = {
     formulas.SequenceId.STAIRCASE: "staircase:{n}:dl",
@@ -73,15 +80,21 @@ def _emit(args, report: dict, text: str) -> None:
 def cmd_count(args) -> int:
     spec = _parse_spec(args.spec)
     methods = list(counting.COUNT_METHODS) if args.method == "all" else [args.method]
-    if "naive" in methods and spec.n > NAIVE_MAX_ORDER:
-        raise CommandError(
-            EXIT_USAGE,
-            f"order {spec.n} exceeds the naive-method guard ({NAIVE_MAX_ORDER})")
-    counts = {}
+    for method, limit in (("naive", NAIVE_MAX_ORDER), ("fast", FAST_MAX_ORDER)):
+        if method in methods and spec.n > limit:
+            raise CommandError(
+                EXIT_USAGE, f"order {spec.n} exceeds the {method}-method guard ({limit})")
     timing = {}
+    region = None
+    if any(method in _REGION_COUNTERS for method in methods):
+        started = time.perf_counter()
+        region = build(spec)
+        timing["build"] = round((time.perf_counter() - started) * 1000, 3)
+    counts = {}
     for method in methods:
         started = time.perf_counter()
-        counts[method] = counting.count_family(spec, method)
+        counts[method] = (_REGION_COUNTERS[method](region) if method in _REGION_COUNTERS
+                          else counting.count_family(spec, method))
         timing[method] = round((time.perf_counter() - started) * 1000, 3)
     agree = len(set(counts.values())) == 1
     code = EXIT_OK if agree else EXIT_MISMATCH
@@ -91,6 +104,12 @@ def cmd_count(args) -> int:
         "methods": methods,
         "counts": counts,
         "agreement": agree,
+        "backend": counting.BACKEND if "fast" in methods else None,
+        "region": None if region is None else {
+            "width": region.bounding_box().width,
+            "height": region.height,
+            "cells": region.cell_count,
+        },
         "timing_ms": timing,
         "exit_status": code,
     }

@@ -2,10 +2,12 @@
 
 ``count_naive`` is the oracle: enumerate every candidate rectangle in the
 bounding box and test fullness against a 2D prefix-sum table, O(W^2 H^2).
-``count_fast`` sweeps rows bottom-up, maintaining per-column heights of
-consecutive filled cells, and accumulates per row the rectangles whose bottom
-edge lies on that row with a monotonic stack, O(cells + W*H).  Closed forms
-live in :mod:`latticerect.formulas`; the three routes must always agree.
+``count_fast`` uses row-convexity: rows c..d-1 contain exactly the
+rectangles whose columns lie in ``[max lo, min hi)`` of those rows, so the
+count is the sum of C(w+1, 2) over all row bands whose intersection has width
+w > 0.  One numpy pass per band height grows every band by a row at once, and
+drops the empty ones, so the work is the number of non-empty bands.  Closed
+forms live in :mod:`latticerect.formulas`; the three routes must always agree.
 """
 from __future__ import annotations
 
@@ -101,73 +103,45 @@ def rectangles(region: CellRegion) -> Iterator[LatticeRect]:
                         yield LatticeRect(x0 + a, x0 + b, y0 + c, y0 + d)
 
 
-def _sweep_rows(los, his, width: int) -> int:
-    """Row sweep with per-column heights and a monotonic stack.
+#: Name of the count_fast implementation, reported by the CLI.
+BACKEND = "numpy-bands"
 
-    ``rects[i]`` counts all-filled rectangles whose bottom edge is on the
-    current row and whose right edge is at column i+1: with j the nearest
-    column left of i of strictly smaller height, every (left edge, height)
-    pair splits at j.  Works on plain lists (exact, unbounded ints); the same
-    code is JIT-compiled over int64 arrays for large regions.
+
+def _band_sum(spans: np.ndarray) -> int:
+    """Sum of C(w+1, 2) over every row band whose column intersection has width w > 0.
+
+    ``spans`` holds one box-relative ``[lo, hi)`` per row.  All bands of one
+    height are grown together by one row; a band is dropped once empty, since
+    every taller band on the same bottom row is empty too.  An empty sentinel
+    span above the top row ends the bands that reach it.
     """
-    heights = [0] * width
-    rects = [0] * width
-    stack = [0] * width
+    lo = np.append(spans[:, 0], 0)
+    hi = np.append(spans[:, 1], 0)
+    top = np.arange(len(spans))  # top row of each live band, one band per bottom row
+    cur_lo, cur_hi = lo[:-1], hi[:-1]
     total = 0
-    for r in range(len(los)):
-        lo = los[r]
-        hi = his[r]
-        for i in range(width):
-            if lo <= i < hi:
-                heights[i] += 1
-            else:
-                heights[i] = 0
-        top = -1
-        for i in range(width):
-            while top >= 0 and heights[stack[top]] >= heights[i]:
-                top -= 1
-            if top >= 0:
-                j = stack[top]
-                rects[i] = rects[j] + heights[i] * (i - j)
-            else:
-                rects[i] = heights[i] * (i + 1)
-            top += 1
-            stack[top] = i
-            total += rects[i]
+    while top.size:
+        w = cur_hi - cur_lo
+        total += int(w @ (w + 1)) // 2
+        top += 1
+        cur_lo = np.maximum(cur_lo, lo[top])
+        cur_hi = np.minimum(cur_hi, hi[top])
+        live = cur_lo < cur_hi
+        top, cur_lo, cur_hi = top[live], cur_lo[live], cur_hi[live]
     return total
 
 
-_jit_sweep = None
-
-
-def _jit_kernel():
-    global _jit_sweep
-    if _jit_sweep is None:
-        try:
-            import numba
-        except ImportError:
-            _jit_sweep = False
-        else:
-            _jit_sweep = numba.njit(cache=True)(_sweep_rows)
-    return _jit_sweep
-
-
 def count_fast(region: CellRegion) -> int:
-    """Same value as count_naive in O(cells + W*H); exact at any size."""
+    """Same value as count_naive, summed over row bands; exact at any size."""
     if region.is_empty:
         return 0
-    box = region.bounding_box()
-    width = box.b - box.a
-    height = region.height
-    los = [lo - box.a for _, lo, _ in region.rows()]
-    his = [hi - box.a for _, _, hi in region.rows()]
-    # int64 kernel is safe while the count's trivial upper bound fits
-    bound = (width * (width + 1) // 2) * (height * (height + 1) // 2)
-    kernel = _jit_kernel() if bound < 2**62 else False
-    if kernel:
-        return int(kernel(np.asarray(los, dtype=np.int64),
-                          np.asarray(his, dtype=np.int64), width))
-    return _sweep_rows(los, his, width)
+    spans = np.array(region.spans, dtype=object)
+    spans -= spans[:, 0].min()
+    width = spans[:, 1].max()
+    # int64 holds every w*(w+1) and every per-height dot product below this
+    # bound; past it the same kernel runs on Python ints
+    exact = width * (width + 1) * len(spans) >= 2**63
+    return _band_sum(spans if exact else spans.astype(np.int64))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
+import tempfile
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
@@ -142,9 +143,16 @@ def fetch(sequence_id: str, source: str = "network-then-cache",
         raise
     bfile = parse_bfile(text, sequence_id)  # validate before caching
     cache_file.parent.mkdir(parents=True, exist_ok=True)
-    scratch = cache_file.with_suffix(".bfile.tmp")
-    scratch.write_text(text, encoding="utf-8")
-    scratch.replace(cache_file)  # readers never see a partial file
+    # a unique scratch file: concurrent fetches never share one, and readers
+    # never see a partial cache file
+    fd, scratch = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(scratch, cache_file)
+    except BaseException:
+        os.unlink(scratch)
+        raise
     return dataclasses.replace(bfile, source="network")
 
 

@@ -37,7 +37,7 @@ s = staircase_rects
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernel():
-    # one-time JIT compilation happens outside any timed budget
+    # first-call numpy set-up happens outside any timed budget
     count_fast(build(aztec(1)))
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,27 @@ def test_count_naive_guard(capsys):
     assert code == 2
     assert "naive" in err
     assert run(capsys, "count", "aztec:41", "--method", "fast")[0] == 0
+
+
+def test_count_fast_guard_fails_before_building(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "count", "aztec:10000000")
+    assert code == 2
+    assert "fast-method guard (20000)" in err
+    assert out == ""
+    assert time.perf_counter() - started < 1.0
+    assert run(capsys, "count", "aztec:10000000", "--method", "formula")[0] == 0
+
+
+def test_count_report_names_backend_and_region(capsys):
+    _, out, _ = run(capsys, "count", "aztec:3", "--json", "--no-timing")
+    report = json.loads(out)
+    assert report["backend"] == "numpy-bands"
+    assert report["region"] == {"width": 6, "height": 6, "cells": 24}
+    assert report["counts"] == {"fast": 166}
+    _, out, _ = run(capsys, "count", "aztec:3", "--method", "formula", "--json")
+    report = json.loads(out)
+    assert report["backend"] is None and report["region"] is None
 
 
 def test_count_json_deterministic_without_timing(capsys):

@@ -8,7 +8,6 @@ from latticerect import (Axis, CellRegion, CrossingClass, Dihedral,
                          build, classify, count_breakdown, count_family,
                          count_fast, count_naive, rectangles, staircase,
                          staircase_rects, transform)
-from latticerect.counting import _sweep_rows
 
 # frozen by independent hand/brute-force enumeration
 FROZEN_COUNTS = {
@@ -59,14 +58,34 @@ def test_fast_equals_naive_on_random_regions():
         assert count_fast(region) == count_naive(region)
 
 
-def test_pure_python_sweep_matches_naive():
-    # the un-jitted fallback path, exact at any size
-    for spec in [aztec(6), biscuit(5), staircase(7)]:
-        region = build(spec)
-        box = region.bounding_box()
-        los = [lo - box.a for _, lo, _ in region.rows()]
-        his = [hi - box.a for _, _, hi in region.rows()]
-        assert _sweep_rows(los, his, box.width) == count_naive(region)
+def _grid_count(width, height):
+    return (width * (width + 1) // 2) * (height * (height + 1) // 2)
+
+
+def test_count_fast_exact_past_int64():
+    # C(W+1, 2)*H >= 2**63 in both: only Python ints hold these band sums
+    assert count_fast(CellRegion(0, ((0, 2**40),))) == _grid_count(2**40, 1)
+    assert count_fast(CellRegion(0, ((0, 2**31),) * 4)) == _grid_count(2**31, 4)
+    assert _grid_count(2**31, 1) * 4 >= 2**63
+
+
+def test_count_fast_at_the_int64_bound():
+    # the widest single row whose w*(w+1) still fits in int64, and the next one
+    w = 3037000499
+    assert w * (w + 1) < 2**63 <= (w + 1) * (w + 2)
+    for width in (w, w + 1):
+        assert count_fast(CellRegion(0, ((5, 5 + width),))) == _grid_count(width, 1)
+
+
+def test_count_fast_disjoint_neighbouring_rows():
+    for spans in [((0, 2), (5, 7), (1, 6)), ((0, 1), (1, 2), (0, 1)),
+                  ((3, 9), (0, 2), (4, 5), (1, 8))]:
+        region = CellRegion(-2, spans)
+        assert count_fast(region) == count_naive(region)
+
+
+def test_count_fast_single_column_keeps_every_band():
+    assert count_fast(CellRegion(0, ((0, 1),) * 2000)) == 2000 * 2001 // 2
 
 
 def test_count_invariant_under_all_symmetries():

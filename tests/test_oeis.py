@@ -1,6 +1,9 @@
+import threading
+
 import pytest
 
 from latticerect import SequenceId, check, evaluate, fetch, format_bfile, parse_bfile
+from latticerect import oeis
 from latticerect.oeis import (SEQUENCE_FOR_ID, BFile, BFileError, FetchError,
                               bfile_url, default_cache_dir)
 
@@ -101,6 +104,46 @@ def test_network_fetch_writes_cache(tmp_path):
     assert bfile.terms == ((1, 3), (2, 16), (3, 50))
     assert seen == [bfile_url("A004320")]
     assert (tmp_path / "A004320.bfile").read_text() == served
+
+
+def test_concurrent_fetches_leave_one_valid_cache_file(tmp_path):
+    served = "1 3\n2 16\n3 50\n"
+    both_downloaded = threading.Barrier(2, timeout=10)
+
+    def transport(url):
+        both_downloaded.wait()  # both writers reach the cache write together
+        return served
+
+    results, errors = [], []
+
+    def worker():
+        try:
+            results.append(fetch("A004320", source="network-then-cache",
+                                 cache_dir=tmp_path, transport=transport))
+        except Exception as err:  # reported below; a thread would swallow it
+            errors.append(err)
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert errors == []
+    assert [bfile.source for bfile in results] == ["network", "network"]
+    assert [p.name for p in tmp_path.iterdir()] == ["A004320.bfile"]
+    assert (tmp_path / "A004320.bfile").read_text() == served
+
+
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(oeis.os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        fetch("A004320", source="network-then-cache",
+              cache_dir=tmp_path, transport=lambda url: "1 3\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_network_failure_falls_back_to_cache(tmp_path):
