@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from latticerect import SequenceId, evaluate
+from latticerect import Family, SequenceId, evaluate
 from latticerect.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -16,6 +16,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# --- JSON report golden outputs ------------------------------------------------
+
+@pytest.mark.parametrize("argv,fixture", [
+    (["count", "aztec:5", "--method", "all"], "count_aztec5_all.json"),
+    (["verify", "--max-n", "4", "--families", "s,a"], "verify_max4_s_a.json"),
+    (["bijections", "--max-n", "3"], "bijections_max3.json"),
+    (["oeis", "--terms", "5"], "oeis_terms5.json"),
+    (["render", "biscuit:2", "--format", "svg"], "render_biscuit2_svg.json"),
+])
+def test_json_report_matches_golden(capsys, argv, fixture):
+    code, out, err = run(capsys, *argv, "--json", "--no-timing")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / fixture).read_text()
+
+
+def test_family_and_sequence_share_member_names():
+    # the CLI and count_family map between the two enums by member name
+    assert {f.name for f in Family} == {s.name for s in SequenceId}
 
 
 # --- render golden outputs -----------------------------------------------------
