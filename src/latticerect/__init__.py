@@ -1,6 +1,6 @@
 """Exact lattice-rectangle counting in Aztec diamonds, square biscuits,
 staircases, and their halves: shape construction, three independent counting
-routes (brute-force oracle, row-sweep kernel, closed forms), the rectangle
+routes (brute-force oracle, row-band kernel, closed forms), the rectangle
 bijections behind the closed forms, and OEIS cross-checks.
 """
 

@@ -14,7 +14,8 @@ import time
 from pathlib import Path
 
 from . import __version__, bijections, counting, formulas, oeis
-from .geometry import ShapeError, ShapeSpec, build, parse_shape_spec, vertical_axis
+from .geometry import (Family, ShapeError, ShapeSpec, build, parse_shape_spec,
+                       vertical_axis)
 from .render import render_ascii, render_svg
 
 EXIT_OK = 0
@@ -29,25 +30,6 @@ NAIVE_MAX_ORDER = 40
 #: and 47 MiB peak RSS on a 2-core x86-64 host (Python 3.11, numpy 2.4).
 FAST_MAX_ORDER = 20000
 
-#: Count methods that run on the built region; the formula route needs none.
-_REGION_COUNTERS = {"naive": counting.count_naive, "fast": counting.count_fast}
-
-_FAMILY_SPECS = {
-    formulas.SequenceId.STAIRCASE: "staircase:{n}:dl",
-    formulas.SequenceId.AZTEC_HALF: "aztec-half:{n}:top",
-    formulas.SequenceId.BISCUIT_HALF: "biscuit-half:{n}:larger",
-    formulas.SequenceId.AZTEC: "aztec:{n}",
-    formulas.SequenceId.BISCUIT: "biscuit:{n}",
-}
-_FAMILY_CODES = {seq.value: seq for seq in formulas.SequenceId}
-_FAMILY_NAMES = {
-    "staircase": formulas.SequenceId.STAIRCASE,
-    "aztec-half": formulas.SequenceId.AZTEC_HALF,
-    "biscuit-half": formulas.SequenceId.BISCUIT_HALF,
-    "aztec": formulas.SequenceId.AZTEC,
-    "biscuit": formulas.SequenceId.BISCUIT,
-}
-
 _OEIS_SOURCES = {
     "fixture": "fixture-only",
     "cache": "cache-only",
@@ -61,24 +43,17 @@ class CommandError(Exception):
         self.code = code
 
 
-def _parse_spec(text: str) -> ShapeSpec:
-    try:
-        return parse_shape_spec(text)
-    except ShapeError as err:
-        raise CommandError(EXIT_USAGE, str(err)) from None
+def _parse_list(text: str, parse) -> list:
+    """Parse each comma-separated token; repeats are dropped, first-seen order kept."""
+    return list(dict.fromkeys(map(parse, text.split(","))))
 
 
-def _emit(args, report: dict, text: str) -> None:
-    if args.json:
-        if args.no_timing:
-            report.pop("timing_ms", None)
-        print(json.dumps(report, sort_keys=True, indent=2))
-    elif text:
-        print(text)
+def _elapsed_ms(started: float) -> float:
+    return round((time.perf_counter() - started) * 1000, 3)
 
 
-def cmd_count(args) -> int:
-    spec = _parse_spec(args.spec)
+def cmd_count(args) -> tuple[dict, str, int]:
+    spec = parse_shape_spec(args.spec)
     methods = list(counting.COUNT_METHODS) if args.method == "all" else [args.method]
     for method, limit in (("naive", NAIVE_MAX_ORDER), ("fast", FAST_MAX_ORDER)):
         if method in methods and spec.n > limit:
@@ -86,20 +61,18 @@ def cmd_count(args) -> int:
                 EXIT_USAGE, f"order {spec.n} exceeds the {method}-method guard ({limit})")
     timing = {}
     region = None
-    if any(method in _REGION_COUNTERS for method in methods):
+    if any(method in counting.REGION_COUNTERS for method in methods):
         started = time.perf_counter()
         region = build(spec)
-        timing["build"] = round((time.perf_counter() - started) * 1000, 3)
+        timing["build"] = _elapsed_ms(started)
     counts = {}
     for method in methods:
         started = time.perf_counter()
-        counts[method] = (_REGION_COUNTERS[method](region) if method in _REGION_COUNTERS
-                          else counting.count_family(spec, method))
-        timing[method] = round((time.perf_counter() - started) * 1000, 3)
+        counter = counting.REGION_COUNTERS.get(method)
+        counts[method] = counter(region) if counter else counting.count_family(spec, method)
+        timing[method] = _elapsed_ms(started)
     agree = len(set(counts.values())) == 1
-    code = EXIT_OK if agree else EXIT_MISMATCH
     report = {
-        "command": "count",
         "spec": str(spec),
         "methods": methods,
         "counts": counts,
@@ -111,7 +84,6 @@ def cmd_count(args) -> int:
             "cells": region.cell_count,
         },
         "timing_ms": timing,
-        "exit_status": code,
     }
     if agree:
         value = counts[methods[0]]
@@ -120,71 +92,61 @@ def cmd_count(args) -> int:
     else:
         shown = " ".join(f"{m}={v}" for m, v in counts.items())
         text = f"{spec}: METHOD DISAGREEMENT {shown}"
-    _emit(args, report, text)
-    return code
+    return report, text, EXIT_OK if agree else EXIT_MISMATCH
 
 
-def _parse_families(text: str) -> list[formulas.SequenceId]:
-    out = []
-    for token in text.split(","):
-        key = token.strip().lower()
-        seq = _FAMILY_CODES.get(key) or _FAMILY_NAMES.get(key)
-        if seq is None:
-            choices = ", ".join(list(_FAMILY_CODES) + list(_FAMILY_NAMES))
-            raise CommandError(EXIT_USAGE, f"unknown family {token!r} (choices: {choices})")
-        if seq not in out:
-            out.append(seq)
-    return out
+def _parse_family(token: str) -> formulas.SequenceId:
+    key = token.strip().lower()
+    for seq in formulas.SequenceId:
+        if key in (seq.value, Family[seq.name].value):
+            return seq
+    choices = ", ".join([seq.value for seq in formulas.SequenceId]
+                        + [Family[seq.name].value for seq in formulas.SequenceId])
+    raise CommandError(EXIT_USAGE, f"unknown family {token!r} (choices: {choices})")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, str, int]:
     if not 1 <= args.max_n <= NAIVE_MAX_ORDER:
         raise CommandError(
             EXIT_USAGE, f"--max-n must be in 1..{NAIVE_MAX_ORDER}, got {args.max_n}")
-    families = (_parse_families(args.families) if args.families
+    families = (_parse_list(args.families, _parse_family) if args.families
                 else list(formulas.SequenceId))
-    started = time.perf_counter()
     results = {}
     lines = []
-    failed = False
     for seq in families:
+        family = Family[seq.name]
         counterexample = None
         for n in range(1, args.max_n + 1):
-            spec = parse_shape_spec(_FAMILY_SPECS[seq].format(n=n))
-            counts = {m: counting.count_family(spec, m) for m in counting.COUNT_METHODS}
+            spec = ShapeSpec(family, n)
+            region = build(spec)
+            counts = {m: count(region) for m, count in counting.REGION_COUNTERS.items()}
+            counts["formula"] = counting.count_family(spec, "formula")
             if len(set(counts.values())) != 1:
                 counterexample = {"n": n, **counts}
                 break
         results[seq.value] = {"ok": counterexample is None, "counterexample": counterexample}
-        name = _FAMILY_SPECS[seq].split(":")[0]
         if counterexample is None:
-            lines.append(f"{name:<13} n=1..{args.max_n}: ok")
+            lines.append(f"{family.value:<13} n=1..{args.max_n}: ok")
         else:
-            failed = True
             shown = " ".join(f"{m}={counterexample[m]}" for m in counting.COUNT_METHODS)
-            lines.append(f"{name:<13} MISMATCH at n={counterexample['n']}: {shown}")
-    code = EXIT_MISMATCH if failed else EXIT_OK
+            lines.append(f"{family.value:<13} MISMATCH at n={counterexample['n']}: {shown}")
+    failed = not all(result["ok"] for result in results.values())
+    lines.append("FAILED" if failed else
+                 f"all counts agree (naive = fast = formula, n <= {args.max_n})")
     report = {
-        "command": "verify",
         "max_n": args.max_n,
         "families": [seq.value for seq in families],
         "results": results,
-        "timing_ms": {"total": round((time.perf_counter() - started) * 1000, 3)},
-        "exit_status": code,
     }
-    lines.append("FAILED" if failed else
-                 f"all counts agree (naive = fast = formula, n <= {args.max_n})")
-    _emit(args, report, "\n".join(lines))
-    return code
+    return report, "\n".join(lines), EXIT_MISMATCH if failed else EXIT_OK
 
 
-def cmd_bijections(args) -> int:
+def cmd_bijections(args) -> tuple[dict, str, int]:
     if not 1 <= args.max_n <= bijections.MAX_VERIFY_ORDER:
         raise CommandError(
             EXIT_USAGE,
             f"--max-n must be in 1..{bijections.MAX_VERIFY_ORDER}, got {args.max_n}")
     names = [args.map] if args.map else list(bijections.BIJECTION_NAMES)
-    started = time.perf_counter()
     results = {}
     lines = []
     failed = False
@@ -211,38 +173,32 @@ def cmd_bijections(args) -> int:
                 f"{name:<15} FAILED at n={failure.order}: "
                 f"injective={failure.is_injective} surjective={failure.is_surjective} "
                 f"roundtrip={failure.roundtrip_ok} counterexample={failure.counterexample}")
-    code = EXIT_MISMATCH if failed else EXIT_OK
-    report = {
-        "command": "bijections",
-        "max_n": args.max_n,
-        "maps": names,
-        "results": results,
-        "timing_ms": {"total": round((time.perf_counter() - started) * 1000, 3)},
-        "exit_status": code,
-    }
-    _emit(args, report, "\n".join(lines))
-    return code
+    report = {"max_n": args.max_n, "maps": names, "results": results}
+    return report, "\n".join(lines), EXIT_MISMATCH if failed else EXIT_OK
 
 
-def cmd_oeis(args) -> int:
-    ids = ([token.strip().upper() for token in args.ids.split(",")]
-           if args.ids else list(oeis.SEQUENCE_FOR_ID))
-    for sequence_id in ids:
-        if sequence_id not in oeis.SEQUENCE_FOR_ID:
-            known = ", ".join(sorted(oeis.SEQUENCE_FOR_ID))
-            raise CommandError(
-                EXIT_USAGE, f"{sequence_id} is not a supported OEIS id (known: {known})")
+def _parse_oeis_id(token: str) -> str:
+    sequence_id = token.strip().upper()
+    if sequence_id not in oeis.SEQUENCE_FOR_ID:
+        known = ", ".join(sorted(oeis.SEQUENCE_FOR_ID))
+        raise CommandError(
+            EXIT_USAGE, f"{sequence_id} is not a supported OEIS id (known: {known})")
+    return sequence_id
+
+
+def cmd_oeis(args) -> tuple[dict, str, int]:
+    ids = (_parse_list(args.ids, _parse_oeis_id) if args.ids
+           else list(oeis.SEQUENCE_FOR_ID))
     if args.terms < 1:
         raise CommandError(EXIT_USAGE, f"--terms must be >= 1, got {args.terms}")
     source = _OEIS_SOURCES[args.source]
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    started = time.perf_counter()
     checks = []
     lines = []
     failed = False
     for sequence_id in ids:
         seq = oeis.SEQUENCE_FOR_ID[sequence_id]
-        family = _FAMILY_SPECS[seq].split(":")[0]
+        family = Family[seq.name].value
         try:
             result = oeis.check(sequence_id, seq, args.terms,
                                 source=source, cache_dir=cache_dir)
@@ -268,49 +224,30 @@ def cmd_oeis(args) -> int:
                 f"{sequence_id} ({family}): {result.matches}/{args.terms} match; "
                 f"first mismatch at n={n}: reference={reference}, computed={computed} "
                 f"[{result.source}]")
-    code = EXIT_MISMATCH if failed else EXIT_OK
-    report = {
-        "command": "oeis",
-        "ids": ids,
-        "terms": args.terms,
-        "source": args.source,
-        "checks": checks,
-        "timing_ms": {"total": round((time.perf_counter() - started) * 1000, 3)},
-        "exit_status": code,
-    }
-    _emit(args, report, "\n".join(lines))
-    return code
+    report = {"ids": ids, "terms": args.terms, "source": args.source, "checks": checks}
+    return report, "\n".join(lines), EXIT_MISMATCH if failed else EXIT_OK
 
 
-def cmd_render(args) -> int:
-    spec = _parse_spec(args.spec)
-    axis = None
-    if args.axis:
-        try:
-            axis = vertical_axis(spec)
-        except ShapeError as err:
-            raise CommandError(EXIT_USAGE, str(err)) from None
-    started = time.perf_counter()
+def cmd_render(args) -> tuple[dict, str, int]:
+    spec = parse_shape_spec(args.spec)
+    axis = vertical_axis(spec) if args.axis else None
     region = build(spec)
     rendered = render_ascii(region, axis) if args.format == "ascii" \
         else render_svg(region, axis)
-    timing = {"total": round((time.perf_counter() - started) * 1000, 3)}
     report = {
-        "command": "render",
         "spec": str(spec),
         "format": args.format,
         "cells": region.cell_count,
         "output": rendered,
-        "timing_ms": timing,
-        "exit_status": EXIT_OK,
     }
-    if args.out:
+    if not args.out:
+        return report, rendered.rstrip("\n"), EXIT_OK
+    try:
         Path(args.out).write_text(rendered, encoding="utf-8")
-        report["output_path"] = args.out
-        _emit(args, report, f"wrote {args.out}")
-    else:
-        _emit(args, report, rendered.rstrip("\n"))
-    return EXIT_OK
+    except OSError as err:
+        raise CommandError(EXIT_USAGE, f"cannot write {args.out}: {err.strerror}") from None
+    report["output_path"] = args.out
+    return report, f"wrote {args.out}", EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -377,12 +314,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: each handler returns (report, text, exit code).
+
+    A ShapeError from a malformed spec or an impossible request is a usage error.
+    """
     args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
-    except CommandError as err:
+        report, text, code = args.handler(args)
+    except (CommandError, ShapeError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.code
+        return err.code if isinstance(err, CommandError) else EXIT_USAGE
+    report.update(command=args.command, exit_status=code)
+    report.setdefault("timing_ms", {})["total"] = _elapsed_ms(started)
+    if args.no_timing:
+        del report["timing_ms"]
+    if args.json:
+        print(json.dumps(report, sort_keys=True, indent=2))
+    elif text:
+        print(text)
+    return code
 
 
 def entry_point() -> None:

@@ -166,15 +166,9 @@ def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
     return CountBreakdown(total, MappingProxyType(tally))
 
 
-_FORMULA_FOR_FAMILY = {
-    Family.STAIRCASE: formulas.SequenceId.STAIRCASE,
-    Family.AZTEC_HALF: formulas.SequenceId.AZTEC_HALF,
-    Family.BISCUIT_HALF: formulas.SequenceId.BISCUIT_HALF,
-    Family.AZTEC: formulas.SequenceId.AZTEC,
-    Family.BISCUIT: formulas.SequenceId.BISCUIT,
-}
-
-COUNT_METHODS = ("naive", "fast", "formula")
+#: Counters that run on a built region; the formula route needs none.
+REGION_COUNTERS = {"naive": count_naive, "fast": count_fast}
+COUNT_METHODS = (*REGION_COUNTERS, "formula")
 
 
 def count_family(spec: ShapeSpec, method: str = "fast") -> int:
@@ -188,9 +182,7 @@ def count_family(spec: ShapeSpec, method: str = "fast") -> int:
         n = spec.n
         if spec.family is Family.BISCUIT_HALF and spec.variant is Part.SMALLER:
             n -= 1
-        return formulas.evaluate(_FORMULA_FOR_FAMILY[spec.family], n)
-    if method == "naive":
-        return count_naive(build(spec))
-    if method == "fast":
-        return count_fast(build(spec))
-    raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
+        return formulas.evaluate(formulas.SequenceId[spec.family.name], n)
+    if method not in REGION_COUNTERS:
+        raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
+    return REGION_COUNTERS[method](build(spec))

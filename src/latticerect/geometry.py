@@ -226,11 +226,6 @@ _DEFAULT_VARIANT = {
     Family.AZTEC_HALF: Side.TOP,
     Family.BISCUIT_HALF: Part.LARGER,
 }
-_VARIANT_TYPE = {
-    Family.STAIRCASE: Corner,
-    Family.AZTEC_HALF: Side,
-    Family.BISCUIT_HALF: Part,
-}
 
 
 @dataclass(frozen=True)
@@ -246,15 +241,15 @@ class ShapeSpec:
     variant: Optional[Variant] = None
 
     def __post_init__(self):
-        vtype = _VARIANT_TYPE.get(self.family)
-        if vtype is None:
+        default = _DEFAULT_VARIANT.get(self.family)
+        if default is None:
             if self.variant is not None:
                 raise ShapeError(f"{self.family.value} takes no variant")
         elif self.variant is None:
-            object.__setattr__(self, "variant", _DEFAULT_VARIANT[self.family])
-        elif not isinstance(self.variant, vtype):
+            object.__setattr__(self, "variant", default)
+        elif not isinstance(self.variant, type(default)):
             raise ShapeError(
-                f"{self.family.value} variant must be a {vtype.__name__}, "
+                f"{self.family.value} variant must be a {type(default).__name__}, "
                 f"got {self.variant!r}")
         min_n = 0 if self.family is Family.STAIRCASE else 1
         if self.n < min_n:
@@ -291,8 +286,9 @@ def parse_shape_spec(text: str) -> ShapeSpec:
 
     Grammar: ``aztec:<n>``, ``biscuit:<n>``, ``staircase:<n>[:ul|ur|dl|dr]``
     (default dl), ``aztec-half:<n>[:top|bottom|left|right]`` (default top),
-    ``biscuit-half:<n>[:larger|smaller]`` (default larger).  Orders below 1 are
-    rejected.  Errors carry the character position of the offending field.
+    ``biscuit-half:<n>[:larger|smaller]`` (default larger).  The order is ASCII
+    decimal digits; orders below 1 are rejected.  Errors carry the character
+    position of the offending field.
     """
     parts = text.split(":")
     fam_text = parts[0].strip().lower()
@@ -305,6 +301,8 @@ def parse_shape_spec(text: str) -> ShapeSpec:
     n_pos = len(parts[0]) + 1
     n_text = parts[1].strip()
     try:
+        if not (n_text.isascii() and n_text.isdigit()):
+            raise ValueError  # int() would also take signs, "_" and non-ASCII digits
         n = int(n_text)
     except ValueError:
         raise ShapeError(f"invalid order {parts[1]!r} at position {n_pos}") from None
@@ -315,12 +313,11 @@ def parse_shape_spec(text: str) -> ShapeSpec:
         v_pos = n_pos + len(parts[1]) + 1
         if len(parts) > 3:
             raise ShapeError(f"unexpected extra field at position {v_pos}")
-        vtype = _VARIANT_TYPE.get(family)
-        if vtype is None:
+        if family not in _DEFAULT_VARIANT:
             raise ShapeError(
                 f"{family.value} takes no variant, got {parts[2]!r} at position {v_pos}")
         try:
-            variant = vtype(parts[2].strip().lower())
+            variant = type(_DEFAULT_VARIANT[family])(parts[2].strip().lower())
         except ValueError:
             raise ShapeError(
                 f"invalid {family.value} variant {parts[2]!r} at position {v_pos}") from None

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import latticerect
 from latticerect import Family, SequenceId, evaluate
 from latticerect.cli import main
 
@@ -85,6 +87,14 @@ def test_render_out_file(capsys, tmp_path):
     text = target.read_text()
     assert text.count("<rect") == 13
     assert "wrote" in out
+
+
+def test_render_out_unwritable_path_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "shape.txt"
+    code, out, err = run(capsys, "render", "biscuit:2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
 
 
 def test_render_parse_error(capsys):
@@ -189,6 +199,13 @@ def test_verify_restricted_families(capsys):
     assert all(entry["ok"] for entry in report["results"].values())
 
 
+def test_verify_drops_repeated_families(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "2", "--families", "a,s,aztec,A",
+                       "--json", "--no-timing")
+    assert code == 0
+    assert json.loads(out)["families"] == ["a", "s"]
+
+
 def test_verify_unknown_family(capsys):
     code, _, err = run(capsys, "verify", "--families", "zz")
     assert code == 2
@@ -237,6 +254,15 @@ def test_oeis_single_id_single_term(capsys):
     assert "1/1" in out
 
 
+def test_oeis_drops_repeated_ids(capsys):
+    code, out, _ = run(capsys, "oeis", "--ids", "A004320,a213840, A004320",
+                       "--terms", "3", "--json", "--no-timing")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ids"] == ["A004320", "A213840"]
+    assert [c["sequence_id"] for c in report["checks"]] == ["A004320", "A213840"]
+
+
 def test_oeis_unsupported_id_exits_2(capsys):
     code, _, err = run(capsys, "oeis", "--ids", "A999999")
     assert code == 2
@@ -273,15 +299,19 @@ def test_oeis_json_report(capsys):
 
 # --- process-level smoke ----------------------------------------------------------------
 
+def run_module(*argv):
+    """``python -m latticerect`` in a fresh process that imports this checkout."""
+    src = str(Path(latticerect.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "latticerect", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "latticerect", "count", "aztec:1", "--method", "all"],
-        capture_output=True, text=True, check=True)
+    result = run_module("count", "aztec:1", "--method", "all")
+    assert result.returncode == 0
     assert "aztec:1: 9" in result.stdout
 
 
 def test_usage_error_exit_code():
-    result = subprocess.run(
-        [sys.executable, "-m", "latticerect", "count"],
-        capture_output=True, text=True)
-    assert result.returncode == 2
+    assert run_module("count").returncode == 2

@@ -331,6 +331,9 @@ def test_parse_examples():
     ("aztec:2:top", "takes no variant"),
     ("staircase:3:xx", "invalid staircase variant"),
     ("staircase:3:ul:zz", "extra field"),
+    ("aztec:1_0", "invalid order '1_0' at position 6"),
+    ("aztec: +4", "invalid order ' \\+4' at position 6"),
+    ("aztec:\u0663", "invalid order '\u0663' at position 6"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ShapeError, match=fragment):
