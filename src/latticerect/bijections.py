@@ -18,6 +18,8 @@ from .geometry import (Axis, CellRegion, LatticeRect, aztec_half, biscuit_half,
 
 #: Exhaustive verification is guarded to small orders; domain sizes grow as n^4.
 MAX_VERIFY_ORDER = 20
+#: Vertical symmetry axes of the canonical Aztec diamond and biscuit halves.
+_AZTEC_AXIS, _BISCUIT_AXIS = Axis(0), Axis(0, half=True)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ def fold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     order-(n-1) staircase one column right of the axis.
     """
     _require(rect, build(aztec_half(n)), f"aztec-half:{n}")
-    if classify(rect, Axis(0)) is not CrossingClass.LEFT:
+    if classify(rect, _AZTEC_AXIS) is not CrossingClass.LEFT:
         raise ValueError(f"{rect} is not left-heavy about x=0")
     return LatticeRect(rect.b, -rect.a, rect.c, rect.d)
 
@@ -106,7 +108,7 @@ def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
     [a-1, b] x [c, d], which crosses the new diamond's axis x = 0.
     """
     _require(rect, build(biscuit_half(n)), f"biscuit-half:{n}")
-    if classify(rect, Axis(0, half=True)) is CrossingClass.NON_CROSSING:
+    if classify(rect, _BISCUIT_AXIS) is CrossingClass.NON_CROSSING:
         raise ValueError(f"{rect} does not cross the axis x=1/2")
     return LatticeRect(rect.a - 1, rect.b, rect.c, rect.d)
 
@@ -114,7 +116,7 @@ def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
 def shrink_to_biscuit_half(rect: LatticeRect, n: int) -> LatticeRect:
     """Inverse of expand_to_aztec_half: drop the inserted column."""
     _require(rect, build(aztec_half(n)), f"aztec-half:{n}")
-    if classify(rect, Axis(0)) is CrossingClass.NON_CROSSING:
+    if classify(rect, _AZTEC_AXIS) is CrossingClass.NON_CROSSING:
         raise ValueError(f"{rect} does not cross the axis x=0")
     return LatticeRect(rect.a + 1, rect.b, rect.c, rect.d)
 
@@ -137,19 +139,6 @@ class BijectionReport:
         return self.is_injective and self.is_surjective and self.roundtrip_ok
 
 
-def _crossing_rects(region: CellRegion, axis: Axis,
-                    wanted: Optional[CrossingClass] = None) -> list[LatticeRect]:
-    out = []
-    for rect in rectangles(region):
-        cls = classify(rect, axis)
-        if wanted is None:
-            if cls is not CrossingClass.NON_CROSSING:
-                out.append(rect)
-        elif cls is wanted:
-            out.append(rect)
-    return out
-
-
 def _quadruple_sides(n: int):
     domain = list(rectangles(build(staircase(n))))
     codomain = {Quadruple(*combo) for combo in itertools.combinations(range(n + 3), 4)}
@@ -157,14 +146,16 @@ def _quadruple_sides(n: int):
 
 
 def _type_l_sides(n: int):
-    domain = _crossing_rects(build(aztec_half(n)), Axis(0), CrossingClass.LEFT)
+    domain = [r for r in rectangles(build(aztec_half(n)))
+              if classify(r, _AZTEC_AXIS) is CrossingClass.LEFT]
     inner = build(staircase(n - 1)).translate(1, 0)
     codomain = set(rectangles(inner))
     return domain, codomain, fold_left_heavy, unfold_left_heavy
 
 
 def _type_c_sides(n: int):
-    domain = _crossing_rects(build(aztec_half(n)), Axis(0), CrossingClass.CENTERED)
+    domain = [r for r in rectangles(build(aztec_half(n)))
+              if classify(r, _AZTEC_AXIS) is CrossingClass.CENTERED]
     codomain = {r for r in rectangles(build(staircase(n))) if r.a == 0}
     return (domain, codomain,
             lambda rect, _n: anchor_centered(rect),
@@ -172,8 +163,10 @@ def _type_c_sides(n: int):
 
 
 def _biscuit_expand_sides(n: int):
-    domain = _crossing_rects(build(biscuit_half(n)), Axis(0, half=True))
-    codomain = set(_crossing_rects(build(aztec_half(n)), Axis(0)))
+    domain = [r for r in rectangles(build(biscuit_half(n)))
+              if classify(r, _BISCUIT_AXIS) is not CrossingClass.NON_CROSSING]
+    codomain = {r for r in rectangles(build(aztec_half(n)))
+                if classify(r, _AZTEC_AXIS) is not CrossingClass.NON_CROSSING}
     return domain, codomain, expand_to_aztec_half, shrink_to_biscuit_half
 
 

@@ -29,6 +29,10 @@ NAIVE_MAX_ORDER = 40
 #: for aztec:n, the worst family per order.  ``count aztec:20000`` took 9.6 s
 #: and 47 MiB peak RSS on a 2-core x86-64 host (Python 3.11, numpy 2.4).
 FAST_MAX_ORDER = 20000
+#: A render writes every cell: ``render aztec:1000 --format svg`` wrote 92 MB.
+RENDER_MAX_ORDER = 1000
+_ORDER_GUARDS = {"naive-method": NAIVE_MAX_ORDER, "fast-method": FAST_MAX_ORDER,
+                 "render": RENDER_MAX_ORDER}
 
 _OEIS_SOURCES = {
     "fixture": "fixture-only",
@@ -52,13 +56,18 @@ def _elapsed_ms(started: float) -> float:
     return round((time.perf_counter() - started) * 1000, 3)
 
 
+def _check_order(spec: ShapeSpec, *guards: str) -> None:
+    """Refuse an order past any named guard, before anything is built."""
+    for guard in guards:
+        limit = _ORDER_GUARDS[guard]
+        if spec.n > limit:
+            raise CommandError(EXIT_USAGE, f"order {spec.n} exceeds the {guard} guard ({limit})")
+
+
 def cmd_count(args) -> tuple[dict, str, int]:
     spec = parse_shape_spec(args.spec)
     methods = list(counting.COUNT_METHODS) if args.method == "all" else [args.method]
-    for method, limit in (("naive", NAIVE_MAX_ORDER), ("fast", FAST_MAX_ORDER)):
-        if method in methods and spec.n > limit:
-            raise CommandError(
-                EXIT_USAGE, f"order {spec.n} exceeds the {method}-method guard ({limit})")
+    _check_order(spec, *(f"{m}-method" for m in methods if m in counting.REGION_COUNTERS))
     timing = {}
     region = None
     if any(method in counting.REGION_COUNTERS for method in methods):
@@ -109,7 +118,7 @@ def cmd_verify(args) -> tuple[dict, str, int]:
     if not 1 <= args.max_n <= NAIVE_MAX_ORDER:
         raise CommandError(
             EXIT_USAGE, f"--max-n must be in 1..{NAIVE_MAX_ORDER}, got {args.max_n}")
-    families = (_parse_list(args.families, _parse_family) if args.families
+    families = (_parse_list(args.families, _parse_family) if args.families is not None
                 else list(formulas.SequenceId))
     results = {}
     lines = []
@@ -182,12 +191,12 @@ def _parse_oeis_id(token: str) -> str:
     if sequence_id not in oeis.SEQUENCE_FOR_ID:
         known = ", ".join(sorted(oeis.SEQUENCE_FOR_ID))
         raise CommandError(
-            EXIT_USAGE, f"{sequence_id} is not a supported OEIS id (known: {known})")
+            EXIT_USAGE, f"{sequence_id!r} is not a supported OEIS id (known: {known})")
     return sequence_id
 
 
 def cmd_oeis(args) -> tuple[dict, str, int]:
-    ids = (_parse_list(args.ids, _parse_oeis_id) if args.ids
+    ids = (_parse_list(args.ids, _parse_oeis_id) if args.ids is not None
            else list(oeis.SEQUENCE_FOR_ID))
     if args.terms < 1:
         raise CommandError(EXIT_USAGE, f"--terms must be >= 1, got {args.terms}")
@@ -230,6 +239,7 @@ def cmd_oeis(args) -> tuple[dict, str, int]:
 
 def cmd_render(args) -> tuple[dict, str, int]:
     spec = parse_shape_spec(args.spec)
+    _check_order(spec, "render")
     axis = vertical_axis(spec) if args.axis else None
     region = build(spec)
     rendered = render_ascii(region, axis) if args.format == "ascii" \

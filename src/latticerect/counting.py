@@ -6,8 +6,9 @@ bounding box and test fullness against a 2D prefix-sum table, O(W^2 H^2).
 rectangles whose columns lie in ``[max lo, min hi)`` of those rows, so the
 count is the sum of C(w+1, 2) over all row bands whose intersection has width
 w > 0.  One numpy pass per band height grows every band by a row at once, and
-drops the empty ones, so the work is the number of non-empty bands.  Closed
-forms live in :mod:`latticerect.formulas`; the three routes must always agree.
+drops the empty ones, so the work is the number of non-empty bands.
+``rectangles`` lists those bands' rectangles, at the cost of its output.
+Closed forms live in :mod:`latticerect.formulas`; the three routes must agree.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ def classify(rect: LatticeRect, axis: Axis) -> CrossingClass:
     return CrossingClass.CENTERED
 
 
-def _prefix_table(region: CellRegion) -> tuple[list[list[int]], int, int]:
+def _prefix_table(region: CellRegion) -> list[list[int]]:
     """Cumulative cell counts: P[r][i] = cells in rows < r, columns < i (box-relative)."""
     box = region.bounding_box()
     width = box.b - box.a
@@ -60,14 +61,14 @@ def _prefix_table(region: CellRegion) -> tuple[list[list[int]], int, int]:
         lo2, hi2 = lo - box.a, hi - box.a
         prev = table[-1]
         table.append([prev[i] + min(i, hi2) - min(i, lo2) for i in range(width + 1)])
-    return table, box.a, box.c
+    return table
 
 
 def count_naive(region: CellRegion) -> int:
     """Oracle count: try every (a, b) x (c, d) in the bounding box."""
     if region.is_empty:
         return 0
-    table, _, _ = _prefix_table(region)
+    table = _prefix_table(region)
     width = len(table[0]) - 1
     height = len(table) - 1
     total = 0
@@ -86,21 +87,18 @@ def count_naive(region: CellRegion) -> int:
 
 
 def rectangles(region: CellRegion) -> Iterator[LatticeRect]:
-    """All rectangles contained in the region, oracle-grade enumeration."""
-    if region.is_empty:
-        return
-    table, x0, y0 = _prefix_table(region)
-    width = len(table[0]) - 1
-    height = len(table) - 1
-    for c in range(height):
-        row_c = table[c]
-        for d in range(c + 1, height + 1):
-            row_d = table[d]
-            nrows = d - c
-            for a in range(width):
-                for b in range(a + 1, width + 1):
-                    if row_d[b] - row_c[b] - row_d[a] + row_c[a] == (b - a) * nrows:
-                        yield LatticeRect(x0 + a, x0 + b, y0 + c, y0 + d)
+    """All rectangles in the region, band by band in (c, d, a, b) order; costs the output."""
+    spans = region.spans
+    for k, (lo, hi) in enumerate(spans):
+        c = region.row0 + k
+        for top in range(k, len(spans)):
+            lo, hi = max(lo, spans[top][0]), min(hi, spans[top][1])
+            if lo >= hi:
+                break  # every taller band on bottom row c is empty too
+            d = region.row0 + top + 1
+            for a in range(lo, hi):
+                for b in range(a + 1, hi + 1):
+                    yield LatticeRect(a, b, c, d)
 
 
 #: Name of the count_fast implementation, reported by the CLI.
@@ -157,13 +155,11 @@ class CountBreakdown:
 
 
 def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
-    """Classify every contained rectangle against the axis (oracle-grade)."""
+    """Classify every contained rectangle against the axis; costs the rectangle count."""
     tally = {cls: 0 for cls in CrossingClass}
-    total = 0
     for rect in rectangles(region):
         tally[classify(rect, axis)] += 1
-        total += 1
-    return CountBreakdown(total, MappingProxyType(tally))
+    return CountBreakdown(sum(tally.values()), MappingProxyType(tally))
 
 
 #: Counters that run on a built region; the formula route needs none.

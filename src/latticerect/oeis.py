@@ -195,11 +195,11 @@ def check(sequence_id: str, seq: SequenceId, n_max: int,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     bfile = fetch(sequence_id, source=source, cache_dir=cache_dir, transport=transport)
     by_index = dict(bfile.terms)
-    missing = [n for n in range(1, n_max + 1) if n not in by_index]
-    if missing:
+    missing = next((n for n in range(1, n_max + 1) if n not in by_index), None)
+    if missing is not None:
+        indices = f"{bfile.terms[0][0]}..{bfile.terms[-1][0]}" if bfile.terms else "none"
         raise ValueError(
-            f"{sequence_id} b-file lacks terms for n={missing[0]} "
-            f"(has indices {bfile.terms[0][0]}..{bfile.terms[-1][0]})")
+            f"{sequence_id} b-file lacks terms for n={missing} (has indices {indices})")
     matches = 0
     first_mismatch = None
     for n in range(1, n_max + 1):

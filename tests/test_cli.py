@@ -103,6 +103,16 @@ def test_render_parse_error(capsys):
     assert "order must be >= 1" in err
 
 
+def test_render_guard_fails_before_building(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "render", "aztec:10000000", "--format", "svg")
+    assert (code, out) == (2, "")
+    assert "render guard (1000)" in err
+    assert time.perf_counter() - started < 1.0
+    assert run(capsys, "render", "aztec:1001")[0] == 2
+    assert run(capsys, "render", "staircase:1000")[0] == 0
+
+
 # --- count -----------------------------------------------------------------------
 
 def test_count_all_methods_agree(capsys):
@@ -210,6 +220,16 @@ def test_verify_unknown_family(capsys):
     code, _, err = run(capsys, "verify", "--families", "zz")
     assert code == 2
     assert "unknown family" in err
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["verify", "--max-n", "1", "--families", ""], "unknown family ''"),
+    (["oeis", "--ids", "", "--terms", "1"], "'' is not a supported OEIS id"),
+])
+def test_empty_list_is_usage_error(capsys, argv, fragment):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert fragment in err
 
 
 # --- bijections ----------------------------------------------------------------------

@@ -110,6 +110,12 @@ def test_rectangles_on_empty_region():
     assert list(rectangles(EMPTY)) == []
 
 
+def test_rectangles_cost_the_output_not_the_bounding_box():
+    far_apart = CellRegion(0, ((0, 1), (10**4, 10**4 + 1)))
+    assert list(rectangles(far_apart)) == [LatticeRect(0, 1, 0, 1),
+                                           LatticeRect(10**4, 10**4 + 1, 1, 2)]
+
+
 # --- crossing classification ------------------------------------------------
 
 def test_classify_examples():

@@ -218,6 +218,17 @@ def test_check_insufficient_terms():
         check("A004320", SequenceId.AZTEC_HALF, 21)
 
 
+def test_check_huge_range_stops_at_first_missing_term():
+    with pytest.raises(ValueError, match=r"lacks terms for n=21 \(has indices 1\.\.20\)"):
+        check("A004320", SequenceId.AZTEC_HALF, 10**12)
+
+
+def test_check_bfile_without_terms(tmp_path):
+    (tmp_path / "A004320.bfile").write_text("# comments only\n")
+    with pytest.raises(ValueError, match=r"lacks terms for n=1 \(has indices none\)"):
+        check("A004320", SequenceId.AZTEC_HALF, 5, source="cache-only", cache_dir=tmp_path)
+
+
 def test_check_reports_mismatch(tmp_path):
     lines = [f"{n} {evaluate(SequenceId.AZTEC_HALF, n)}" for n in range(1, 21)]
     lines[6] = "7 999"  # corrupt the n=7 term

@@ -1,8 +1,12 @@
-"""Property-based checks of count_fast on arbitrary row-convex regions."""
+"""Property-based checks of the counting routes on arbitrary row-convex regions,
+and of the spec and b-file text roundtrips."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticerect import CellRegion, Dihedral, count_fast, count_naive, transform
+from latticerect import (Axis, BFile, CellRegion, CrossingClass, Dihedral,
+                         Family, ShapeSpec, count_breakdown, count_fast,
+                         count_naive, format_bfile, parse_bfile,
+                         parse_shape_spec, rectangles, transform)
 
 OFFSETS = st.integers(-10**9, 10**9)
 
@@ -51,3 +55,40 @@ def test_count_invariant_under_all_symmetries(region):
     assert base == count_naive(region)
     for g in Dihedral:
         assert count_fast(transform(region, g)) == base
+
+
+@settings(deadline=None)
+@given(row_convex_regions())
+def test_rectangles_lists_every_contained_rectangle_once_in_order(region):
+    rects = list(rectangles(region))
+    assert len(set(rects)) == len(rects) == count_naive(region)
+    assert all(region.contains_rect(r) for r in rects)
+    keys = [(r.c, r.d, r.a, r.b) for r in rects]
+    assert keys == sorted(keys)
+
+
+@settings(deadline=None)
+@given(row_convex_regions(), st.integers(-2, 14), st.booleans())
+def test_breakdown_classes_sum_to_the_count(region, dx, half):
+    breakdown = count_breakdown(region, Axis(region.bounding_box().a + dx, half))
+    assert set(breakdown.by_class) == set(CrossingClass)
+    assert sum(breakdown.by_class.values()) == breakdown.total == count_naive(region)
+
+
+@st.composite
+def shape_specs(draw):
+    family = draw(st.sampled_from(Family))
+    default = ShapeSpec(family, 1).variant
+    variant = None if default is None else draw(st.sampled_from(type(default)))
+    return ShapeSpec(family, draw(st.integers(1, 10**30)), variant)
+
+
+@given(shape_specs())
+def test_shape_spec_text_roundtrip(spec):
+    assert parse_shape_spec(str(spec)) == spec
+
+
+@given(st.dictionaries(st.integers(-10**6, 10**30), st.integers(-10**40, 10**40)))
+def test_bfile_text_roundtrip(terms):
+    bfile = BFile(None, tuple(sorted(terms.items())))
+    assert parse_bfile(format_bfile(bfile)) == bfile
