@@ -8,18 +8,25 @@ can be replayed mechanically.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .counting import CrossingClass, classify, rectangles
-from .geometry import (Axis, CellRegion, LatticeRect, aztec_half, biscuit_half,
-                       build, staircase)
+from .geometry import (CellRegion, LatticeRect, ShapeSpec, aztec_half, biscuit_half,
+                       build, staircase, vertical_axis)
 
 #: Exhaustive verification is guarded to small orders; domain sizes grow as n^4.
 MAX_VERIFY_ORDER = 20
 #: Vertical symmetry axes of the canonical Aztec diamond and biscuit halves.
-_AZTEC_AXIS, _BISCUIT_AXIS = Axis(0), Axis(0, half=True)
+_AZTEC_AXIS, _BISCUIT_AXIS = vertical_axis(aztec_half(1)), vertical_axis(biscuit_half(1))
+
+
+@functools.lru_cache(maxsize=8)
+def _built(spec: ShapeSpec) -> CellRegion:
+    """build(spec), once per shape: the maps check containment per rectangle."""
+    return build(spec)
 
 
 @dataclass(frozen=True)
@@ -47,7 +54,7 @@ def staircase_to_quadruple(rect: LatticeRect, n: int) -> Quadruple:
     [a, b] x [c, d] satisfies exactly 0 <= a < b < c < d <= n+2, so its own
     coordinates are the encoding.
     """
-    if not build(staircase(n)).contains_rect(rect):
+    if not _built(staircase(n)).contains_rect(rect):
         raise ValueError(f"{rect} is not inside the order-{n} dl staircase")
     return Quadruple(rect.a, rect.b, n + 2 - rect.d, n + 2 - rect.c)
 
@@ -71,7 +78,7 @@ def fold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     the right part leaves the strip [b, -a] x [c, d], which lands in the
     order-(n-1) staircase one column right of the axis.
     """
-    _require(rect, build(aztec_half(n)), f"aztec-half:{n}")
+    _require(rect, _built(aztec_half(n)), f"aztec-half:{n}")
     if classify(rect, _AZTEC_AXIS) is not CrossingClass.LEFT:
         raise ValueError(f"{rect} is not left-heavy about x=0")
     return LatticeRect(rect.b, -rect.a, rect.c, rect.d)
@@ -81,7 +88,7 @@ def unfold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     """Inverse of fold_left_heavy: [u, v] x [c, d] back to [-v, u] x [c, d]."""
     if rect.a < 1:
         raise ValueError(f"{rect} does not lie strictly right of the axis")
-    _require(rect, build(aztec_half(n)), f"aztec-half:{n}")
+    _require(rect, _built(aztec_half(n)), f"aztec-half:{n}")
     return LatticeRect(-rect.b, rect.a, rect.c, rect.d)
 
 
@@ -107,7 +114,7 @@ def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
     diamond; a rectangle whose interior meets the axis grows with it, to
     [a-1, b] x [c, d], which crosses the new diamond's axis x = 0.
     """
-    _require(rect, build(biscuit_half(n)), f"biscuit-half:{n}")
+    _require(rect, _built(biscuit_half(n)), f"biscuit-half:{n}")
     if classify(rect, _BISCUIT_AXIS) is CrossingClass.NON_CROSSING:
         raise ValueError(f"{rect} does not cross the axis x=1/2")
     return LatticeRect(rect.a - 1, rect.b, rect.c, rect.d)
@@ -115,7 +122,7 @@ def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
 
 def shrink_to_biscuit_half(rect: LatticeRect, n: int) -> LatticeRect:
     """Inverse of expand_to_aztec_half: drop the inserted column."""
-    _require(rect, build(aztec_half(n)), f"aztec-half:{n}")
+    _require(rect, _built(aztec_half(n)), f"aztec-half:{n}")
     if classify(rect, _AZTEC_AXIS) is CrossingClass.NON_CROSSING:
         raise ValueError(f"{rect} does not cross the axis x=0")
     return LatticeRect(rect.a + 1, rect.b, rect.c, rect.d)
@@ -140,32 +147,32 @@ class BijectionReport:
 
 
 def _quadruple_sides(n: int):
-    domain = list(rectangles(build(staircase(n))))
+    domain = list(rectangles(_built(staircase(n))))
     codomain = {Quadruple(*combo) for combo in itertools.combinations(range(n + 3), 4)}
     return domain, codomain, staircase_to_quadruple, quadruple_to_staircase
 
 
 def _type_l_sides(n: int):
-    domain = [r for r in rectangles(build(aztec_half(n)))
+    domain = [r for r in rectangles(_built(aztec_half(n)))
               if classify(r, _AZTEC_AXIS) is CrossingClass.LEFT]
-    inner = build(staircase(n - 1)).translate(1, 0)
+    inner = _built(staircase(n - 1)).translate(1, 0)
     codomain = set(rectangles(inner))
     return domain, codomain, fold_left_heavy, unfold_left_heavy
 
 
 def _type_c_sides(n: int):
-    domain = [r for r in rectangles(build(aztec_half(n)))
+    domain = [r for r in rectangles(_built(aztec_half(n)))
               if classify(r, _AZTEC_AXIS) is CrossingClass.CENTERED]
-    codomain = {r for r in rectangles(build(staircase(n))) if r.a == 0}
+    codomain = {r for r in rectangles(_built(staircase(n))) if r.a == 0}
     return (domain, codomain,
             lambda rect, _n: anchor_centered(rect),
             lambda rect, _n: unanchor_centered(rect))
 
 
 def _biscuit_expand_sides(n: int):
-    domain = [r for r in rectangles(build(biscuit_half(n)))
+    domain = [r for r in rectangles(_built(biscuit_half(n)))
               if classify(r, _BISCUIT_AXIS) is not CrossingClass.NON_CROSSING]
-    codomain = {r for r in rectangles(build(aztec_half(n)))
+    codomain = {r for r in rectangles(_built(aztec_half(n)))
                 if classify(r, _AZTEC_AXIS) is not CrossingClass.NON_CROSSING}
     return domain, codomain, expand_to_aztec_half, shrink_to_biscuit_half
 

@@ -88,7 +88,7 @@ def cmd_count(args) -> tuple[dict, str, int]:
         "agreement": agree,
         "backend": counting.BACKEND if "fast" in methods else None,
         "region": None if region is None else {
-            "width": region.bounding_box().width,
+            "width": 0 if region.is_empty else region.bounding_box().width,
             "height": region.height,
             "cells": region.cell_count,
         },

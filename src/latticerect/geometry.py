@@ -324,70 +324,61 @@ def parse_shape_spec(text: str) -> ShapeSpec:
     return ShapeSpec(family, n, variant)
 
 
-def _staircase_spans(n: int, corner: Corner) -> list[tuple[int, int]]:
-    # rows j = 0..n-1 inside the box [0, n] x [0, n]
-    if corner is Corner.DL:
-        return [(0, n - j) for j in range(n)]
-    if corner is Corner.DR:
-        return [(j, n) for j in range(n)]
-    if corner is Corner.UL:
-        return [(0, j + 1) for j in range(n)]
-    return [(n - j - 1, n) for j in range(n)]  # UR
+#: Every family as a piece of a whole shape: variant (or whole family) ->
+#: (whole shape, order change, columns kept, rows kept), where +1 keeps the
+#: indices >= 0, -1 those < 0 and 0 both sides of the lines through the origin.
+_PIECES: dict[Union[Family, Variant], tuple[Family, int, int, int]] = {
+    Family.AZTEC: (Family.AZTEC, 0, 0, 0),
+    Family.BISCUIT: (Family.BISCUIT, 0, 0, 0),
+    Side.TOP: (Family.AZTEC, 0, 0, 1),
+    Side.BOTTOM: (Family.AZTEC, 0, 0, -1),
+    Side.LEFT: (Family.AZTEC, 0, -1, 0),
+    Side.RIGHT: (Family.AZTEC, 0, 1, 0),
+    Part.LARGER: (Family.BISCUIT, 0, 0, 1),
+    Part.SMALLER: (Family.BISCUIT, -1, 0, 1),
+    Corner.DL: (Family.AZTEC, 0, 1, 1),
+    Corner.DR: (Family.AZTEC, 0, -1, 1),
+    Corner.UR: (Family.AZTEC, 0, -1, -1),
+    Corner.UL: (Family.AZTEC, 0, 1, -1),
+}
+
+
+def _whole(family: Family, n: int) -> CellRegion:
+    """The order-n Aztec diamond or biscuit (n >= 0), center or quasi-center at the origin."""
+    if family is Family.AZTEC:
+        top = [(j - n, n - j) for j in range(n)]
+        return CellRegion(-n, tuple(top[::-1] + top))
+    top = [(j - n + 1, n - j) for j in range(n)]
+    return CellRegion(1 - n, tuple(top[:0:-1] + top))
 
 
 def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:
     """Construct the canonical region for spec, optionally translated.
 
-    Canonical rows, bottom to top:
+    Only the two whole shapes have formulas; every other family is a piece of
+    one of them, cut along the lattice lines through its center or
+    quasi-center (see ``_PIECES``).  Canonical rows, bottom to top:
 
     * aztec n: rows -n..n-1, row j spans [-(n-j'), n-j') with j' = j for
       j >= 0 and j' = -j-1 below; widths 2, 4, ..., 2n, 2n, ..., 4, 2.
-    * aztec-half top: rows 0..n-1 of the aztec; the other sides are the
-      matching parts of the full diamond, kept in place.
     * biscuit n: rows -(n-1)..n-1, row j spans [|j|-n+1, n-|j|); widths
       1, 3, ..., 2n-1, ..., 3, 1; quasi-center at the origin, true center
       and vertical symmetry axis at x = 1/2.
-    * biscuit-half larger: rows 0..n-1 of the biscuit (the half that keeps
-      the widest row).  smaller: the (n-1)-row half, re-based widest row
-      down, i.e. the same footprint as biscuit-half larger of order n-1.
-    * staircase: rows 0..n-1 in the box [0, n] x [0, n]; dl spans [0, n-j),
-      and ul/ur/dr are its reflections within the box.
+    * aztec-half top/bottom/left/right: the aztec's rows >= 0, rows < 0,
+      columns < 0 or columns >= 0, kept in place.
+    * biscuit-half larger: the biscuit's rows >= 0, which keep the widest
+      row; smaller: biscuit-half larger of order n-1.
+    * staircase: a quadrant of the order-n aztec, moved into the box
+      [0, n] x [0, n]: dl keeps columns and rows >= 0, so row j spans
+      [0, n-j); ul, ur and dr are its reflections within the box.
     """
-    n = spec.n
-    fam = spec.family
-    row0 = 0
-    spans: list[tuple[int, int]]
-    if fam is Family.AZTEC:
-        row0 = -n
-        spans = []
-        for j in range(-n, n):
-            w = n - (j if j >= 0 else -j - 1)
-            spans.append((-w, w))
-    elif fam is Family.AZTEC_HALF:
-        side = spec.variant
-        if side is Side.TOP:
-            spans = [(-(n - j), n - j) for j in range(n)]
-        elif side is Side.BOTTOM:
-            row0 = -n
-            spans = [(-(n + j + 1), n + j + 1) for j in range(-n, 0)]
-        else:
-            row0 = -n
-            widths = [n - (j if j >= 0 else -j - 1) for j in range(-n, n)]
-            if side is Side.RIGHT:
-                spans = [(0, w) for w in widths]
-            else:
-                spans = [(-w, 0) for w in widths]
-    elif fam is Family.BISCUIT:
-        row0 = -(n - 1)
-        spans = [(abs(j) - n + 1, n - abs(j)) for j in range(-(n - 1), n)]
-    elif fam is Family.BISCUIT_HALF:
-        if spec.variant is Part.LARGER:
-            spans = [(j - n + 1, n - j) for j in range(n)]
-        else:
-            spans = [(j - n + 2, n - 1 - j) for j in range(n - 1)]
-    else:
-        spans = _staircase_spans(n, spec.variant)
-    region = CellRegion(row0, tuple(spans))
+    whole, dn, cols, rows = _PIECES[spec.variant or spec.family]
+    n = spec.n + dn
+    region = _cut(_whole(whole, n), cols, rows)
+    if isinstance(spec.variant, Corner):  # move the quadrant into [0, n] x [0, n]
+        dx = n if cols < 0 else 0
+        region = CellRegion(region.row0 + (n if rows < 0 else 0),
+                            tuple((lo + dx, hi + dx) for lo, hi in region.spans))
     if offset != (0, 0):
         region = region.translate(*offset)
     return region
@@ -396,35 +387,36 @@ def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:
 def vertical_axis(spec: ShapeSpec) -> Axis:
     """The vertical symmetry axis of the canonical shape, where one exists.
 
-    Aztec diamonds and their top/bottom halves are symmetric about the lattice
-    line x = 0; biscuits and both their upper/lower halves about x = 1/2.
+    A shape has one exactly when it keeps both column sides of its whole
+    shape: Aztec diamonds and their top/bottom halves are symmetric about the
+    lattice line x = 0; biscuits and both their halves about x = 1/2.
     """
-    if spec.family in (Family.AZTEC, Family.AZTEC_HALF):
-        if spec.family is Family.AZTEC_HALF and spec.variant in (Side.LEFT, Side.RIGHT):
-            raise ShapeError(f"{spec} has no vertical symmetry axis")
-        return Axis(0)
-    if spec.family in (Family.BISCUIT, Family.BISCUIT_HALF):
-        return Axis(0, half=True)
-    raise ShapeError(f"{spec} has no vertical symmetry axis")
+    whole, _, cols, _ = _PIECES[spec.variant or spec.family]
+    if cols:
+        raise ShapeError(f"{spec} has no vertical symmetry axis")
+    return Axis(0, half=whole is Family.BISCUIT)
 
 
-def _clip_columns(region: CellRegion, lo: Optional[int], hi: Optional[int],
-                  rows: Optional[tuple[int, int]] = None) -> CellRegion:
-    """Intersect with the column band [lo, hi) and optionally a row band."""
-    kept = []
-    for j, a, b in region.rows():
-        if rows is not None and not (rows[0] <= j < rows[1]):
-            continue
-        a2 = a if lo is None else max(a, lo)
-        b2 = b if hi is None else min(b, hi)
-        if a2 < b2:
-            kept.append((j, a2, b2))
-    if not kept:
-        return CellRegion(0, (), region.origin)
-    js = [j for j, _, _ in kept]
-    if js != list(range(js[0], js[0] + len(js))):
-        raise ShapeError("clip produced a region with a gap between rows")
-    return CellRegion(js[0], tuple((a, b) for _, a, b in kept), region.origin)
+def _cut(region: CellRegion, cols: int, rows: int) -> CellRegion:
+    """Keep the cells on one side of the lattice lines x = p and y = q through
+    the region's origin (p, q): +1 keeps indices >= the line, -1 those below."""
+    if not (cols or rows):
+        return region
+    p, q = region.origin
+    row0, spans = region.row0, region.spans
+    if rows:
+        k = min(max(q - row0, 0), len(spans))
+        row0, spans = (row0 + k, spans[k:]) if rows > 0 else (row0, spans[:k])
+    if cols:
+        spans = ([(max(lo, p), hi) for lo, hi in spans] if cols > 0
+                 else [(lo, min(hi, p)) for lo, hi in spans])
+        kept = [k for k, (lo, hi) in enumerate(spans) if lo < hi]
+        if not kept:
+            return CellRegion(0, (), region.origin)
+        if kept[-1] - kept[0] >= len(kept):
+            raise ShapeError("clip produced a region with a gap between rows")
+        row0, spans = row0 + kept[0], tuple(spans[kept[0]:kept[-1] + 1])
+    return CellRegion(row0, spans, region.origin)
 
 
 def split_half(region: CellRegion, spec: ShapeSpec) -> tuple[CellRegion, CellRegion, Axis]:
@@ -438,46 +430,30 @@ def split_half(region: CellRegion, spec: ShapeSpec) -> tuple[CellRegion, CellReg
     Aztec diamond splits into congruent halves; a biscuit's right part is
     larger by one column (n^2 cells against (n-1)^2).
     """
-    p = region.origin[0]
-    if spec.family is Family.AZTEC:
-        axis = Axis(p)
-    elif spec.family is Family.BISCUIT:
-        axis = Axis(p, half=True)
-    else:
+    if spec.family not in (Family.AZTEC, Family.BISCUIT):
         raise ShapeError(f"split_half applies to aztec or biscuit, not {spec}")
-    left = _clip_columns(region, None, p)
-    right = _clip_columns(region, p, None)
-    return left, right, axis
+    axis = Axis(region.origin[0], vertical_axis(spec).half)
+    return _cut(region, -1, 0), _cut(region, 1, 0), axis
 
 
 def split_staircases(spec: ShapeSpec) -> list[tuple[ShapeSpec, CellRegion]]:
     """Decompose an Aztec diamond or biscuit into four labeled staircases.
 
     The vertical and horizontal lattice lines through the center/quasi-center
-    cut the canonical region into quadrant pieces, one staircase of each
-    orientation: orders (n, n, n, n) for an Aztec diamond and
-    (n, n-1, n-2, n-1) for a biscuit, where order 0 is the empty region.
-    Biscuits of order 1 are a single cell and cannot be decomposed.
+    cut the canonical region into the quadrants of the ``Corner`` pieces, in
+    place, one staircase of each orientation: orders (n, n, n, n) for an Aztec
+    diamond and (n, n-1, n-2, n-1) for a biscuit (dl, dr, ur, ul), where order
+    0 is the empty region.  Biscuits of order 1 are a single cell and cannot be
+    decomposed.
     """
-    n = spec.n
-    if spec.family is Family.AZTEC:
-        orders = (n, n, n, n)
-    elif spec.family is Family.BISCUIT:
-        if n < 2:
-            raise ShapeError("a biscuit of order 1 has no four-staircase decomposition")
-        orders = (n, n - 1, n - 2, n - 1)
-    else:
+    if spec.family not in (Family.AZTEC, Family.BISCUIT):
         raise ShapeError(f"split_staircases applies to aztec or biscuit, not {spec}")
+    if spec.family is Family.BISCUIT and spec.n < 2:
+        raise ShapeError("a biscuit of order 1 has no four-staircase decomposition")
     region = build(spec)
-    top = region.row0 + region.height
-    quads = [
-        _clip_columns(region, 0, None, rows=(0, top)),       # i >= 0, j >= 0
-        _clip_columns(region, None, 0, rows=(0, top)),       # i < 0,  j >= 0
-        _clip_columns(region, None, 0, rows=(region.row0, 0)),  # i < 0, j < 0
-        _clip_columns(region, 0, None, rows=(region.row0, 0)),  # i >= 0, j < 0
-    ]
-    corners = (Corner.DL, Corner.DR, Corner.UR, Corner.UL)
-    return [(staircase(k, c), q) for k, c, q in zip(orders, corners, quads)]
+    quads = ((corner, _cut(region, cols, rows))
+             for corner, (_, _, cols, rows) in _PIECES.items() if isinstance(corner, Corner))
+    return [(staircase(q.height, corner), q) for corner, q in quads]
 
 
 def transform(region: CellRegion, g: Dihedral) -> CellRegion:

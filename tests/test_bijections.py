@@ -10,6 +10,7 @@ from latticerect import (Axis, CrossingClass, LatticeRect, Quadruple,
                          staircase_to_quadruple, staircase_rects,
                          unanchor_centered, unfold_left_heavy,
                          verify_bijection)
+from latticerect import bijections
 from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER
 
 s = staircase_rects
@@ -173,3 +174,12 @@ def test_verify_bijection_guards():
         verify_bijection("quadruple", 0)
     with pytest.raises(ValueError):
         verify_bijection("quadruple", MAX_VERIFY_ORDER + 1)
+
+
+@pytest.mark.parametrize("name", BIJECTION_NAMES)
+def test_verify_bijection_builds_each_shape_once(monkeypatch, name):
+    built = []
+    monkeypatch.setattr(bijections, "build", lambda spec: built.append(spec) or build(spec))
+    bijections._built.cache_clear()
+    assert verify_bijection(name, 6).verified
+    assert built and len(built) == len(set(built)), built

@@ -168,6 +168,16 @@ def test_count_report_names_backend_and_region(capsys):
     assert report["backend"] is None and report["region"] is None
 
 
+def test_count_empty_region_reports_zero_width(capsys):
+    code, out, _ = run(capsys, "count", "biscuit-half:1:smaller", "--method", "all",
+                       "--json", "--no-timing")
+    report = json.loads(out)
+    assert code == 0
+    assert report["counts"] == {"naive": 0, "fast": 0, "formula": 0}
+    assert report["agreement"] is True
+    assert report["region"] == {"width": 0, "height": 0, "cells": 0}
+
+
 def test_count_json_deterministic_without_timing(capsys):
     args = ("count", "biscuit:2", "--method", "all", "--json", "--no-timing")
     _, first, _ = run(capsys, *args)

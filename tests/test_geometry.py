@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from latticerect import (Axis, CellRegion, Corner, Dihedral, Family,
@@ -7,6 +10,8 @@ from latticerect import (Axis, CellRegion, Corner, Dihedral, Family,
                          staircase, transform, vertical_axis)
 
 ALL_FAMILY_SPECS = [aztec, biscuit, staircase, aztec_half, biscuit_half]
+VARIANTS = {v.value: v for kind in (Corner, Side, Part) for v in kind}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def normalized(region: CellRegion) -> CellRegion:
@@ -97,6 +102,16 @@ def test_build_offset_translates():
     moved = build(aztec(1), offset=(3, 4))
     assert moved == build(aztec(1)).translate(3, 4)
     assert moved.origin == (3, 4)
+
+
+def test_build_placements_match_golden():
+    # every family and variant at n <= 6, plus n = 3 at a large offset
+    for entry in json.loads((GOLDEN / "build_spans.json").read_text()):
+        spec = ShapeSpec(Family(entry["family"]), entry["n"], VARIANTS.get(entry["variant"]))
+        region = build(spec, tuple(entry["offset"]))
+        assert region.row0 == entry["row0"], entry
+        assert region.spans == tuple(map(tuple, entry["spans"])), entry
+        assert region.origin == tuple(entry["origin"]), entry
 
 
 # --- bounding boxes and containment ---------------------------------------

@@ -1,12 +1,17 @@
 """Property-based checks of the counting routes on arbitrary row-convex regions,
-and of the spec and b-file text roundtrips."""
+of the bijection maps, and of the spec and b-file text roundtrips."""
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticerect import (Axis, BFile, CellRegion, CrossingClass, Dihedral,
-                         Family, ShapeSpec, count_breakdown, count_fast,
-                         count_naive, format_bfile, parse_bfile,
-                         parse_shape_spec, rectangles, transform)
+                         Family, LatticeRect, ShapeSpec, anchor_centered,
+                         classify, count_breakdown, count_fast, count_naive,
+                         expand_to_aztec_half, fold_left_heavy, format_bfile,
+                         parse_bfile, parse_shape_spec, quadruple_to_staircase,
+                         rectangles, shrink_to_biscuit_half,
+                         staircase_to_quadruple, transform, unanchor_centered,
+                         unfold_left_heavy)
 
 OFFSETS = st.integers(-10**9, 10**9)
 
@@ -92,3 +97,67 @@ def test_shape_spec_text_roundtrip(spec):
 def test_bfile_text_roundtrip(terms):
     bfile = BFile(None, tuple(sorted(terms.items())))
     assert parse_bfile(format_bfile(bfile)) == bfile
+
+
+# Containment in the canonical order-n shapes, in closed form: the top row
+# d-1 of a rectangle [a, b] x [c, d] with 0 <= c is the narrowest it meets.
+def in_staircase(r, n):  # dl: row j spans [0, n-j)
+    return 0 <= r.c and r.d <= n and 0 <= r.a and r.b <= n - r.d + 1
+
+
+def in_aztec_half(r, n):  # top: row j spans [j-n, n-j)
+    return 0 <= r.c and r.d <= n and r.d - 1 - n <= r.a and r.b <= n - r.d + 1
+
+
+def in_biscuit_half(r, n):  # larger: row j spans [j-n+1, n-j)
+    return 0 <= r.c and r.d <= n and r.d - n <= r.a and r.b <= n - r.d + 1
+
+
+#: forward map, its inverse, and the forward map's domain at order n
+BIJECTION_MAPS = {
+    "quadruple": (staircase_to_quadruple, quadruple_to_staircase, in_staircase),
+    "type_l": (fold_left_heavy, unfold_left_heavy, lambda r, n: (
+        in_aztec_half(r, n) and classify(r, Axis(0)) is CrossingClass.LEFT)),
+    "type_c": (lambda r, _n: anchor_centered(r), lambda r, _n: unanchor_centered(r),
+               lambda r, _n: r.a == -r.b),
+    "biscuit_expand": (expand_to_aztec_half, shrink_to_biscuit_half, lambda r, n: (
+        in_biscuit_half(r, n)
+        and classify(r, Axis(0, half=True)) is not CrossingClass.NON_CROSSING)),
+}
+
+
+@st.composite
+def rects_near_shapes(draw, max_n=8):
+    """An order n <= max_n and a rectangle one cell around the shapes' rows and
+    around the columns of the aztec half's top row, so that the maps' domains
+    are hit often."""
+    n = draw(st.integers(1, max_n))
+    c, d = sorted(draw(st.lists(st.integers(-1, n + 1), min_size=2, max_size=2,
+                                unique=True)))
+    w = max(n - d + 1, 0) + 1
+    a, b = sorted(draw(st.lists(st.integers(-w, w), min_size=2, max_size=2, unique=True)))
+    return LatticeRect(a, b, c, d), n
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTION_MAPS))
+@settings(deadline=None, max_examples=200)
+@given(case=rects_near_shapes())
+def test_bijection_maps_accept_exactly_their_domain_and_invert(name, case):
+    forward, inverse, in_domain = BIJECTION_MAPS[name]
+    rect, n = case
+    try:
+        image = forward(rect, n)
+    except ValueError:
+        assert not in_domain(rect, n)
+        return
+    assert in_domain(rect, n)
+    assert inverse(image, n) == rect
+
+
+@settings(deadline=None)
+@given(st.sampled_from([unfold_left_heavy, shrink_to_biscuit_half]), rects_near_shapes())
+def test_inverse_maps_refuse_rectangles_outside_the_aztec_half(inverse, case):
+    rect, n = case
+    if not in_aztec_half(rect, n):
+        with pytest.raises(ValueError):
+            inverse(rect, n)
