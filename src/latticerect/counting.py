@@ -2,13 +2,12 @@
 
 ``count_naive`` is the oracle: enumerate every candidate rectangle in the
 bounding box and test fullness against a 2D prefix-sum table, O(W^2 H^2).
-``count_fast`` uses row-convexity: rows c..d-1 contain exactly the
-rectangles whose columns lie in ``[max lo, min hi)`` of those rows, so the
-count is the sum of C(w+1, 2) over all row bands whose intersection has width
-w > 0.  One numpy pass per band height grows every band by a row at once, and
-drops the empty ones, so the work is the number of non-empty bands.
-``rectangles`` lists those bands' rectangles, at the cost of its output.
-Closed forms live in :mod:`latticerect.formulas`; the three routes must agree.
+The rest use row-convexity: rows c..d-1 contain exactly the rectangles whose
+columns lie in ``[max lo, min hi)`` of those rows.  One numpy walker,
+``_bands``, visits every such non-empty row band; ``count_fast`` sums
+C(w+1, 2) over them and ``count_breakdown`` splits each band by crossing class
+in closed form.  ``rectangles`` lists the bands' rectangles, at the cost of its
+output.  Closed forms live in :mod:`latticerect.formulas`; the routes agree.
 """
 from __future__ import annotations
 
@@ -105,41 +104,35 @@ def rectangles(region: CellRegion) -> Iterator[LatticeRect]:
 BACKEND = "numpy-bands"
 
 
-def _band_sum(spans: np.ndarray) -> int:
-    """Sum of C(w+1, 2) over every row band whose column intersection has width w > 0.
+def _bands(region: CellRegion) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, per band height, the box-relative columns ``[lo, hi)`` of every non-empty band.
 
-    ``spans`` holds one box-relative ``[lo, hi)`` per row.  All bands of one
-    height are grown together by one row; a band is dropped once empty, since
-    every taller band on the same bottom row is empty too.  An empty sentinel
-    span above the top row ends the bands that reach it.
+    All bands of one height grow together by one row.  A band is dropped once
+    empty, as every taller band on its bottom row is empty too; an empty
+    sentinel span above the top row ends the bands that reach it.
     """
-    lo = np.append(spans[:, 0], 0)
-    hi = np.append(spans[:, 1], 0)
+    if region.is_empty:
+        return
+    spans = np.array(region.spans, dtype=object)
+    spans -= spans[:, 0].min()
+    width = spans[:, 1].max()
+    if width * (width + 1) * len(spans) < 2**63:  # else exact on Python ints
+        spans = spans.astype(np.int64)  # every per-height w @ (w + 1) fits
+    lo, hi = np.append(spans, [[0, 0]], axis=0).T
     top = np.arange(len(spans))  # top row of each live band, one band per bottom row
     cur_lo, cur_hi = lo[:-1], hi[:-1]
-    total = 0
     while top.size:
-        w = cur_hi - cur_lo
-        total += int(w @ (w + 1)) // 2
+        yield cur_lo, cur_hi
         top += 1
         cur_lo = np.maximum(cur_lo, lo[top])
         cur_hi = np.minimum(cur_hi, hi[top])
         live = cur_lo < cur_hi
         top, cur_lo, cur_hi = top[live], cur_lo[live], cur_hi[live]
-    return total
 
 
 def count_fast(region: CellRegion) -> int:
     """Same value as count_naive, summed over row bands; exact at any size."""
-    if region.is_empty:
-        return 0
-    spans = np.array(region.spans, dtype=object)
-    spans -= spans[:, 0].min()
-    width = spans[:, 1].max()
-    # int64 holds every w*(w+1) and every per-height dot product below this
-    # bound; past it the same kernel runs on Python ints
-    exact = width * (width + 1) * len(spans) >= 2**63
-    return _band_sum(spans if exact else spans.astype(np.int64))
+    return sum(int((w := hi - lo) @ (w + 1)) // 2 for lo, hi in _bands(region))
 
 
 @dataclass(frozen=True)
@@ -155,10 +148,26 @@ class CountBreakdown:
 
 
 def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
-    """Classify every contained rectangle against the axis; costs the rectangle count."""
-    tally = {cls: 0 for cls in CrossingClass}
-    for rect in rectangles(region):
-        tally[classify(rect, axis)] += 1
+    """Split the rectangle count by crossing class about the axis; costs the bands.
+
+    A band's crossing rectangles pair one of its p lines left of the axis with
+    one of its q lines right of it.  The i-th and j-th lines out from the axis
+    are equally far when i = j: centered, left- and right-heavy are i =, >, < j.
+    """
+    tally = dict.fromkeys(CrossingClass, 0)
+    if not region.is_empty:
+        box = region.bounding_box()
+        # clamped into the box; then p*q <= (W+1)^2/4 keeps _bands' int64 bound
+        dx = min(max(axis.double_x - 2 * box.a, -1), 2 * box.width + 1)
+        for lo, hi in _bands(region):
+            p = np.maximum(np.minimum(hi, (dx - 1) // 2) - lo + 1, 0)
+            q = np.maximum(hi - np.maximum(lo, dx // 2 + 1) + 1, 0)
+            k = np.minimum(p, q)
+            pairs = int(k @ (k - 1)) // 2
+            tally[CrossingClass.LEFT] += int(k @ (p - 1)) - pairs
+            tally[CrossingClass.RIGHT] += int(k @ (q - 1)) - pairs
+            tally[CrossingClass.CENTERED] += int(k.sum())
+            tally[CrossingClass.NON_CROSSING] += int((hi - lo) @ (hi - lo + 1)) // 2 - int(p @ q)
     return CountBreakdown(sum(tally.values()), MappingProxyType(tally))
 
 

@@ -343,17 +343,18 @@ _PIECES: dict[Union[Family, Variant], tuple[Family, int, int, int]] = {
 }
 
 
-def _whole(family: Family, n: int) -> CellRegion:
-    """The order-n Aztec diamond or biscuit (n >= 0), center or quasi-center at the origin."""
+def _whole(family: Family, n: int, origin: tuple[int, int]) -> CellRegion:
+    """The order-n Aztec diamond or biscuit (n >= 0), center or quasi-center at origin."""
+    x, y = origin
     if family is Family.AZTEC:
-        top = [(j - n, n - j) for j in range(n)]
-        return CellRegion(-n, tuple(top[::-1] + top))
-    top = [(j - n + 1, n - j) for j in range(n)]
-    return CellRegion(1 - n, tuple(top[:0:-1] + top))
+        top = [(x + j - n, x + n - j) for j in range(n)]
+        return CellRegion(y - n, tuple(top[::-1] + top), origin)
+    top = [(x + j - n + 1, x + n - j) for j in range(n)]
+    return CellRegion(y + 1 - n, tuple(top[:0:-1] + top), origin)
 
 
 def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:
-    """Construct the canonical region for spec, optionally translated.
+    """Construct the canonical region for spec, moved by offset.
 
     Only the two whole shapes have formulas; every other family is a piece of
     one of them, cut along the lattice lines through its center or
@@ -374,13 +375,11 @@ def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:
     """
     whole, dn, cols, rows = _PIECES[spec.variant or spec.family]
     n = spec.n + dn
-    region = _cut(_whole(whole, n), cols, rows)
+    region = _cut(_whole(whole, n, offset), cols, rows)
     if isinstance(spec.variant, Corner):  # move the quadrant into [0, n] x [0, n]
         dx = n if cols < 0 else 0
         region = CellRegion(region.row0 + (n if rows < 0 else 0),
-                            tuple((lo + dx, hi + dx) for lo, hi in region.spans))
-    if offset != (0, 0):
-        region = region.translate(*offset)
+                            tuple((lo + dx, hi + dx) for lo, hi in region.spans), offset)
     return region
 
 

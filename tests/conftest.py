@@ -1,6 +1,6 @@
 import random
 
-from latticerect import CellRegion
+from latticerect import Axis, CellRegion, CrossingClass, classify, rectangles
 
 
 def random_row_convex(rng: random.Random, box: int = 12) -> CellRegion:
@@ -12,3 +12,11 @@ def random_row_convex(rng: random.Random, box: int = 12) -> CellRegion:
         hi = rng.randint(lo + 1, box)
         spans.append((lo, hi))
     return CellRegion(rng.randint(-3, 3), tuple(spans))
+
+
+def classify_tally(region: CellRegion, axis: Axis) -> dict:
+    """The breakdown by brute force: classify every rectangle the region lists."""
+    tally = dict.fromkeys(CrossingClass, 0)
+    for rect in rectangles(region):
+        tally[classify(rect, axis)] += 1
+    return tally

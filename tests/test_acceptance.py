@@ -102,6 +102,42 @@ def test_criterion_3_breakdown_identities():
     _verdict(3, "crossing-class identities exact for n=2..12")
 
 
+def test_criterion_10_breakdown_identities_at_large_order():
+    started = time.perf_counter()
+    delta = Axis(0)
+    half_delta = Axis(0, half=True)
+    for n in (100, 2000):
+        half = count_breakdown(build(aztec_half(n)), delta)
+        assert half.by_class[CrossingClass.LEFT] == s(n - 1)
+        assert half.by_class[CrossingClass.RIGHT] == s(n - 1)
+        assert half.by_class[CrossingClass.CENTERED] == s(n) - s(n - 1)
+        assert half.by_class[CrossingClass.NON_CROSSING] == 2 * s(n)
+        assert half.total == 3 * s(n) + s(n - 1) == aztec_half_rects(n)
+
+        diamond = count_breakdown(build(aztec(n)), delta)
+        assert diamond.crossing == aztec_half_rects(n) + aztec_half_rects(n - 1)
+
+        round_shape = count_breakdown(build(biscuit(n)), half_delta)
+        assert round_shape.crossing == biscuit_half_rects(n) + biscuit_half_rects(n - 1)
+        assert round_shape.by_class[CrossingClass.NON_CROSSING] == \
+            2 * biscuit_half_rects(n - 1)
+
+        bhalf = count_breakdown(build(biscuit_half(n)), half_delta)
+        assert bhalf.crossing == s(n) + s(n - 1)
+        assert bhalf.by_class[CrossingClass.NON_CROSSING] == 2 * s(n - 1)
+        assert bhalf.total == s(n) + 3 * s(n - 1) == biscuit_half_rects(n)
+
+        # criterion 4's domain sizes, checked exhaustively there for n <= 12:
+        # type_l folds the LEFT class and type_c the CENTERED one (above), and
+        # biscuit_expand maps the biscuit half's crossing rectangles onto the
+        # aztec half's
+        assert bhalf.crossing == half.crossing == s(n) + s(n - 1)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 15.0
+    _verdict(10, f"crossing-class identities and bijection domain sizes exact for "
+                 f"n=100, 2000 in {elapsed:.2f}s")
+
+
 def test_criterion_4_bijection_suite():
     started = time.perf_counter()
     expected_size = {

@@ -175,6 +175,31 @@ def test_breakdown_identities_small(n):
     assert bhalf.by_class[CrossingClass.NON_CROSSING] == 2 * s(n - 1)
 
 
+@pytest.mark.parametrize("width,height", [(2**40, 3), (2**40 + 1, 3),
+                                          (3037000499, 1), (3037000500, 1)])
+def test_breakdown_exact_past_the_int64_bound(width, height):
+    # widths past the int64 switch, and one row either side of it: about the
+    # center of H rows of one span, each of the C(H+1, 2) bands has
+    # m = (W+1)//2 lines on either side of the axis, paired i-th with j-th
+    x = -3 * 2**40
+    region = CellRegion(7, ((x, x + width),) * height)
+    breakdown = count_breakdown(region, Axis(x + width // 2, half=width % 2 == 1))
+    bands, m = height * (height + 1) // 2, (width + 1) // 2
+    assert breakdown.by_class[CrossingClass.LEFT] == breakdown.by_class[CrossingClass.RIGHT]
+    assert breakdown.by_class[CrossingClass.LEFT] == bands * m * (m - 1) // 2
+    assert breakdown.by_class[CrossingClass.CENTERED] == bands * m
+    assert breakdown.crossing == bands * m * m
+    assert breakdown.total == count_fast(region)
+
+
+@pytest.mark.parametrize("region", [build(aztec(3)), CellRegion(0, ((0, 2**40),) * 3)])
+def test_breakdown_about_a_far_axis_is_all_non_crossing(region):
+    for x in (-10**30, 10**30):
+        breakdown = count_breakdown(region, Axis(x, half=x > 0))
+        assert breakdown.by_class[CrossingClass.NON_CROSSING] == breakdown.total
+        assert breakdown.total == count_fast(region)
+
+
 def test_breakdown_total_matches_naive():
     for spec, axis in [(aztec(3), Axis(0)), (biscuit(3), Axis(0, half=True)),
                        (staircase(4), Axis(1))]:

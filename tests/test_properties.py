@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import classify_tally
 from latticerect import (Axis, BFile, CellRegion, CrossingClass, Dihedral,
                          Family, LatticeRect, ShapeSpec, anchor_centered,
                          classify, count_breakdown, count_fast, count_naive,
@@ -78,6 +79,23 @@ def test_breakdown_classes_sum_to_the_count(region, dx, half):
     breakdown = count_breakdown(region, Axis(region.bounding_box().a + dx, half))
     assert set(breakdown.by_class) == set(CrossingClass)
     assert sum(breakdown.by_class.values()) == breakdown.total == count_naive(region)
+
+
+@st.composite
+def regions_and_axes(draw):
+    """A region and a whole or half-unit axis inside its box, on an edge or outside."""
+    region = draw(row_convex_regions())
+    box = region.bounding_box()
+    x = draw(st.sampled_from((box.a, box.b)) | st.integers(box.a - 2, box.b + 2)
+             | st.integers(-10**30, 10**30))
+    return region, Axis(x, draw(st.booleans()))
+
+
+@settings(deadline=None)
+@given(regions_and_axes())
+def test_breakdown_equals_the_classify_tally(case):
+    region, axis = case
+    assert dict(count_breakdown(region, axis).by_class) == classify_tally(region, axis)
 
 
 @st.composite
