@@ -25,9 +25,7 @@ EXIT_EXTERNAL = 4
 
 #: The O(W^2 H^2) oracle is kept honest by refusing absurd orders.
 NAIVE_MAX_ORDER = 40
-#: count_fast work grows with the number of non-empty row bands, about 2n^2
-#: for aztec:n, the worst family per order.  ``count aztec:20000`` took 9.6 s
-#: and 47 MiB peak RSS on a 2-core x86-64 host (Python 3.11, numpy 2.4).
+#: ``count aztec:20000`` took 0.5 s, 50 MiB peak RSS (2-core x86-64, Python 3.11, numpy 2.4).
 FAST_MAX_ORDER = 20000
 #: A render writes every cell: ``render aztec:1000 --format svg`` wrote 92 MB.
 RENDER_MAX_ORDER = 1000

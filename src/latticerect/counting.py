@@ -3,18 +3,20 @@
 ``count_naive`` is the oracle: enumerate every candidate rectangle in the
 bounding box and test fullness against a 2D prefix-sum table, O(W^2 H^2).
 The rest use row-convexity: rows c..d-1 contain exactly the rectangles whose
-columns lie in ``[max lo, min hi)`` of those rows.  One numpy walker,
-``_bands``, visits every such non-empty row band; ``count_fast`` sums
-C(w+1, 2) over them and ``count_breakdown`` splits each band by crossing class
-in closed form.  ``rectangles`` lists the bands' rectangles, at the cost of its
-output.  Closed forms live in :mod:`latticerect.formulas`; the routes agree.
+columns lie in ``[max lo, min hi)`` of those rows.  ``count_fast`` sums
+C(w+1, 2) over the non-empty bands: those inside 32-row leaves by the band
+walk, a band height per numpy step, which ``count_breakdown`` also uses, and
+the rest by a divide and conquer over rows, a level per numpy step, O(H log H)
+in all.  ``rectangles`` lists the bands' rectangles at the cost of its output.
+Closed forms, the third way, live in :mod:`latticerect.formulas`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -102,25 +104,36 @@ def rectangles(region: CellRegion) -> Iterator[LatticeRect]:
 
 #: Name of the count_fast implementation, reported by the CLI.
 BACKEND = "numpy-bands"
+#: count_fast walks the bands inside aligned blocks of this many rows.
+_LEAF_ROWS = 32
 
 
-def _bands(region: CellRegion) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, per band height, the box-relative columns ``[lo, hi)`` of every non-empty band.
-
-    All bands of one height grow together by one row.  A band is dropped once
-    empty, as every taller band on its bottom row is empty too; an empty
-    sentinel span above the top row ends the bands that reach it.
-    """
-    if region.is_empty:
-        return
+def _box_spans(region: CellRegion, bound: Callable[[int, int], int]) -> np.ndarray:
+    """The rows' ``[lo, hi)`` as an (H, 2) array shifted so the box starts at 0;
+    int64 while every coordinate and ``bound(W, H)`` fit it, else Python ints."""
+    try:
+        spans = np.fromiter(chain.from_iterable(region.spans), np.int64).reshape(-1, 2)
+        left = int(spans.min())
+        if bound(int(spans.max()) - left, region.height) < 2**63:
+            return spans - left
+    except OverflowError:
+        pass
     spans = np.array(region.spans, dtype=object)
-    spans -= spans[:, 0].min()
-    width = spans[:, 1].max()
-    if width * (width + 1) * len(spans) < 2**63:  # else exact on Python ints
-        spans = spans.astype(np.int64)  # every per-height w @ (w + 1) fits
+    return spans - spans.min()
+
+
+def _bands(spans: np.ndarray, leaf: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, per band height, the columns ``[lo, hi)`` of every non-empty band.
+
+    All bands of one height grow together by one row and drop out once empty:
+    so is every taller band on their bottom row.  The row above the last, and
+    with ``leaf`` the first of each aligned block of ``leaf`` rows, ends them.
+    """
     lo, hi = np.append(spans, [[0, 0]], axis=0).T
+    if leaf:
+        hi[leaf::leaf] = 0
     top = np.arange(len(spans))  # top row of each live band, one band per bottom row
-    cur_lo, cur_hi = lo[:-1], hi[:-1]
+    cur_lo, cur_hi = spans.T
     while top.size:
         yield cur_lo, cur_hi
         top += 1
@@ -130,9 +143,58 @@ def _bands(region: CellRegion) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         top, cur_lo, cur_hi = top[live], cur_lo[live], cur_hi[live]
 
 
+def _crossing_bands(spans: np.ndarray) -> int:
+    """Twice the sum of C(w+1, 2) over the bands that cross a leaf boundary.
+
+    Level s cuts the rows into blocks of 2s about middle rows m.  A_i, P_i are
+    the min of hi and max of lo over rows m-1-i..m-1, and B_t, Q_t over rows
+    m..m+t.  Where A > P, band [m-1-i, m+t] has w = min(A, B) - max(P, Q) > 0
+    until B <= P, Q >= A or B <= Q; w is A - P until B < A or Q > P, then B - P
+    or A - Q, then B - Q, all from prefix sums.  Keys offset by block * (W + 2)
+    let one searchsorted serve all blocks.  ``reach`` bounds all band heights
+    once no band at a level fills a half block.
+    """
+    total, s, height, reach = 0, _LEAF_ROWS, len(spans), len(spans)
+    while s < height:
+        r, blocks, pad = min(s, reach), -(-height // (2 * s)), -height % (2 * s)
+        lo, hi = np.concatenate((spans, 0 * spans[:pad])).T.reshape(2, blocks, 2, s)
+        a = np.minimum.accumulate(hi[:, 0, ::-1][:, :r], axis=1)
+        p = np.maximum.accumulate(lo[:, 0, ::-1][:, :r], axis=1)
+        b = np.minimum.accumulate(hi[:, 1, :r], axis=1)
+        q = np.maximum.accumulate(lo[:, 1, :r], axis=1)
+        left, right = (live := a > p).sum(axis=1), (b > q).sum(axis=1)
+        if max(left.max(), right.max()) < s:
+            reach = min(reach, max(s, int(left.max() + right.max())))
+        width = int(hi.max())
+        key = np.arange(blocks, dtype=spans.dtype)[:, None] * (width + 2)
+        b_key, q_key, b, q = (key + width - b).ravel(), (key + q).ravel(), b.ravel(), q.ravel()
+        sums = np.stack((b, b * (b + 1), q, q * (q - 1), (b - q) * (b - q + 1))).cumsum(axis=1)
+        sums = np.concatenate((0 * sums[:, :1], sums), axis=1)  # prefix sums along the rows
+        block = live.nonzero()[0]
+        a, p, key, start = a[live], p[live], key[block, 0], block * r
+        end = np.minimum(np.minimum(b_key.searchsorted(key + width - p),
+                                    q_key.searchsorted(key + a)), right[block] + start)
+        b_min = np.minimum(b_key.searchsorted(key + width - a, "right"), end)
+        p_max = np.minimum(q_key.searchsorted(key + p, "right"), end)
+        both, split = np.minimum(b_min, p_max), np.maximum(b_min, p_max)
+        sb, sbb, sq, sqq, sw = (row.take(split) - row.take(at) for row, at in
+                                zip(sums, (b_min, b_min, p_max, p_max, end)))
+        total += int(np.sum((both - start) * (a - p) * (a - p + 1)
+                            + sbb - 2 * p * sb + (split - b_min) * p * (p - 1)
+                            + sqq - 2 * a * sq + (split - p_max) * a * (a + 1)
+                            - sw))
+        s *= 2
+    return total
+
+
 def count_fast(region: CellRegion) -> int:
-    """Same value as count_naive, summed over row bands; exact at any size."""
-    return sum(int((w := hi - lo) @ (w + 1)) // 2 for lo, hi in _bands(region))
+    """Same value as count_naive, exact at any size."""
+    if region.is_empty:
+        return 0
+    # (H(W+1))^2 < 2**63 holds the level sums, at most H^2 W(W+1)/4, in int64
+    spans = _box_spans(region, lambda w, h: (h * (w + 1)) ** 2)
+    inside = sum(int((w := hi - lo) @ (w + 1)) for lo, hi in _bands(spans, _LEAF_ROWS))
+    return (inside + _crossing_bands(spans)) // 2
 
 
 @dataclass(frozen=True)
@@ -157,9 +219,9 @@ def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
     tally = dict.fromkeys(CrossingClass, 0)
     if not region.is_empty:
         box = region.bounding_box()
-        # clamped into the box; then p*q <= (W+1)^2/4 keeps _bands' int64 bound
+        # clamped into the box; then p*q <= (W+1)^2/4 stays inside the int64 bound below
         dx = min(max(axis.double_x - 2 * box.a, -1), 2 * box.width + 1)
-        for lo, hi in _bands(region):
+        for lo, hi in _bands(_box_spans(region, lambda w, h: w * (w + 1) * h)):
             p = np.maximum(np.minimum(hi, (dx - 1) // 2) - lo + 1, 0)
             q = np.maximum(hi - np.maximum(lo, dx // 2 + 1) + 1, 0)
             k = np.minimum(p, q)

@@ -14,6 +14,22 @@ def random_row_convex(rng: random.Random, box: int = 12) -> CellRegion:
     return CellRegion(rng.randint(-3, 3), tuple(spans))
 
 
+def count_by_column_pairs(region: CellRegion) -> int:
+    """The rectangle count column pair by column pair: rows that hold columns
+    [a, b) come in runs, and a run of r rows holds C(r+1, 2) rectangles."""
+    spans = region.spans
+    left = min(lo for lo, _ in spans)
+    right = max(hi for _, hi in spans)
+    total = 0
+    for a in range(left, right):
+        for b in range(a + 1, right + 1):
+            run = 0
+            for lo, hi in spans:
+                run = run + 1 if lo <= a and b <= hi else 0
+                total += run  # the rectangles whose top row is this one
+    return total
+
+
 def classify_tally(region: CellRegion, axis: Axis) -> dict:
     """The breakdown by brute force: classify every rectangle the region lists."""
     tally = dict.fromkeys(CrossingClass, 0)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,8 @@ from latticerect import (Axis, CellRegion, CrossingClass, Dihedral,
                          build, classify, count_breakdown, count_family,
                          count_fast, count_naive, rectangles, staircase,
                          staircase_rects, transform)
+from latticerect.cli import FAST_MAX_ORDER
+from latticerect.formulas import SequenceId, evaluate
 
 # frozen by independent hand/brute-force enumeration
 FROZEN_COUNTS = {
@@ -75,6 +78,38 @@ def test_count_fast_at_the_int64_bound():
     assert w * (w + 1) < 2**63 <= (w + 1) * (w + 2)
     for width in (w, w + 1):
         assert count_fast(CellRegion(0, ((5, 5 + width),))) == _grid_count(width, 1)
+
+
+#: the widest W with (128 * (W + 1))**2 < 2**63, count_fast's int64 bound at 128 rows
+WIDEST_INT64_AT_128_ROWS = 23726565
+
+
+@pytest.mark.parametrize("height,width", [(128, WIDEST_INT64_AT_128_ROWS),
+                                          (128, WIDEST_INT64_AT_128_ROWS + 1),
+                                          (128, 2**26), (200, 2**26)])
+def test_count_fast_exact_about_the_level_bound(height, width):
+    # the last width on int64 and the first on Python ints, at four leaves of
+    # 32 rows; at 2**26 the top level's crossing bands alone sum past 2**63
+    assert (128 * (WIDEST_INT64_AT_128_ROWS + 1)) ** 2 < 2**63
+    assert (128 * (WIDEST_INT64_AT_128_ROWS + 2)) ** 2 >= 2**63
+    region = CellRegion(-3, ((7, 7 + width),) * height)
+    assert count_fast(region) == _grid_count(width, height)
+
+
+def test_count_fast_past_int64_coordinates():
+    # 80 rows, so levels run on the Python-int arrays too
+    region = build(aztec(40))
+    far = region.translate(10**30, -10**30)
+    assert count_fast(far) == count_fast(region) == evaluate(SequenceId.AZTEC, 40)
+
+
+def test_count_fast_at_the_largest_accepted_order():
+    # about 0.1 s per shape on a 2-core x86-64 host; walking all 2n^2 = 8e8
+    # non-empty bands of aztec:20000 a band height at a time takes about 10 s
+    started = time.perf_counter()
+    for make, seq in [(aztec, SequenceId.AZTEC), (biscuit, SequenceId.BISCUIT)]:
+        assert count_fast(build(make(FAST_MAX_ORDER))) == evaluate(seq, FAST_MAX_ORDER)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_count_fast_disjoint_neighbouring_rows():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classify_tally
+from conftest import classify_tally, count_by_column_pairs
+from latticerect import counting
 from latticerect import (Axis, BFile, CellRegion, CrossingClass, Dihedral,
                          Family, LatticeRect, ShapeSpec, anchor_centered,
                          classify, count_breakdown, count_fast, count_naive,
@@ -52,6 +53,45 @@ def orthoconvex_regions(draw, max_height=8):
 @given(row_convex_regions())
 def test_fast_equals_naive(region):
     assert count_fast(region) == count_naive(region)
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 4])
+@settings(deadline=None)
+@given(region=row_convex_regions())
+def test_fast_equals_naive_with_small_leaves(leaf, region):
+    # with leaves this small, the regions above are tall enough for levels to run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_LEAF_ROWS", leaf)
+        assert count_fast(region) == count_naive(region)
+
+
+@st.composite
+def tall_regions(draw, max_height=300, box=10):
+    """Row-convex regions up to max_height rows tall in a box columns wide.
+
+    Each row moves either end of the row below by at most one column, so
+    bands reach across leaves and levels, or about one row in 16 jumps to any
+    span, which may share no column with the row below.
+    """
+    jumps = [(lo, hi) for lo in range(box) for hi in range(lo + 1, box + 1)]
+    picks = st.integers(0, 16 * len(jumps) - 1)
+    height = draw(st.integers(1, max_height))
+    lo, hi = 0, box
+    spans = []
+    for pick in draw(st.lists(picks, min_size=height, max_size=height)):
+        if pick < len(jumps):
+            lo, hi = jumps[pick]
+        else:
+            lo = min(max(lo + pick % 3 - 1, 0), box - 1)
+            hi = min(max(hi + pick // 3 % 3 - 1, lo + 1), box)
+        spans.append((lo, hi))
+    return CellRegion(0, tuple(spans)).translate(draw(OFFSETS), draw(OFFSETS))
+
+
+@settings(deadline=None)
+@given(tall_regions())
+def test_fast_equals_column_pair_count_on_tall_regions(region):
+    assert count_fast(region) == count_by_column_pairs(region)
 
 
 @settings(deadline=None)
