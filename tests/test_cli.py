@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import latticerect
-from latticerect import Family, SequenceId, evaluate
+from latticerect import Family, SequenceId, bijections, counting, evaluate
 from latticerect.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -226,6 +227,37 @@ def test_verify_drops_repeated_families(capsys):
     assert json.loads(out)["families"] == ["a", "s"]
 
 
+def test_verify_mismatch_reports_every_family_and_exits_3(capsys, monkeypatch):
+    fast = counting.REGION_COUNTERS["fast"]
+    monkeypatch.setitem(counting.REGION_COUNTERS, "fast",
+                        lambda region: fast(region) + (region.height >= 6))
+    code, out, err = run(capsys, "verify", "--max-n", "4")
+    assert (code, err) == (3, "")
+    assert out == (
+        "staircase     n=1..4: ok\n"
+        "aztec-half    n=1..4: ok\n"
+        "biscuit-half  n=1..4: ok\n"
+        "aztec         MISMATCH at n=3: naive=166 fast=167 formula=166\n"
+        "biscuit       MISMATCH at n=4: naive=170 fast=171 formula=170\n"
+        "FAILED\n")
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--json", "--no-timing")
+    assert code == 3
+    ok = {"ok": True, "counterexample": None}
+    assert json.loads(out) == {
+        "command": "verify",
+        "exit_status": 3,
+        "families": ["s", "ah", "bh", "a", "b"],
+        "max_n": 4,
+        "results": {
+            "s": ok, "ah": ok, "bh": ok,
+            "a": {"ok": False, "counterexample":
+                  {"n": 3, "naive": 166, "fast": 167, "formula": 166}},
+            "b": {"ok": False, "counterexample":
+                  {"n": 4, "naive": 170, "fast": 171, "formula": 170}},
+        },
+    }
+
+
 def test_verify_unknown_family(capsys):
     code, _, err = run(capsys, "verify", "--families", "zz")
     assert code == 2
@@ -268,6 +300,36 @@ def test_bijections_max_n_guard(capsys):
     assert "--max-n" in err
 
 
+def test_bijections_failure_is_reported_and_exits_3(capsys, monkeypatch):
+    sides = bijections._MAPS["type_l"]
+
+    def widened_sides(n):
+        domain, codomain, forward, inverse = sides(n)
+
+        def widened(rect, order):
+            image = forward(rect, order)
+            return dataclasses.replace(image, b=image.b + 1) if order >= 3 else image
+        return domain, codomain, widened, inverse
+    monkeypatch.setitem(bijections._MAPS, "type_l", widened_sides)
+    counterexample = ("(LatticeRect(a=-3, b=1, c=0, d=1), "
+                      "LatticeRect(a=1, b=4, c=0, d=1))")
+    code, out, err = run(capsys, "bijections", "--max-n", "4")
+    assert (code, err) == (3, "")
+    assert out == (
+        "quadruple       n=1..4: verified (domain sizes 1, 5, 15, 35)\n"
+        "type_l          FAILED at n=3: injective=False surjective=False "
+        f"roundtrip=False counterexample={counterexample}\n"
+        "type_c          n=1..4: verified (domain sizes 1, 4, 10, 20)\n"
+        "biscuit_expand  n=1..4: verified (domain sizes 1, 6, 20, 50)\n")
+    code, out, _ = run(capsys, "bijections", "--max-n", "3", "--json", "--no-timing")
+    assert code == 3
+    expected = json.loads((GOLDEN / "bijections_max3.json").read_text())
+    expected["exit_status"] = 3
+    expected["results"]["type_l"] = {
+        "verified": False, "domain_sizes": [0, 1, 5], "counterexample": counterexample}
+    assert json.loads(out) == expected
+
+
 # --- oeis ----------------------------------------------------------------------------
 
 def test_oeis_fixture_check(capsys):
@@ -308,6 +370,28 @@ def test_oeis_mismatch_exits_3(capsys, tmp_path):
     assert code == 3
     assert "first mismatch at n=5" in out
     assert "reference=240" in out and "computed=245" in out
+
+
+def test_oeis_one_mismatch_among_two_ids_exits_3(capsys, tmp_path):
+    for seq, damaged in ((SequenceId.AZTEC_HALF, True), (SequenceId.BISCUIT_HALF, False)):
+        lines = [f"{n} {evaluate(seq, n)}" for n in range(1, 6)]
+        if damaged:
+            lines[4] = "5 240"
+        (tmp_path / f"{latticerect.OEIS_IDS[seq]}.bfile").write_text("\n".join(lines) + "\n")
+    argv = ("oeis", "--ids", "A004320,A002417", "--terms", "5", "--source", "cache",
+            "--cache-dir", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "")
+    assert out == (
+        "A004320 (aztec-half): 4/5 match; first mismatch at n=5: "
+        "reference=240, computed=245 [cache]\n"
+        "A002417 (biscuit-half): 5/5 terms match [cache]\n")
+    code, out, _ = run(capsys, *argv, "--json", "--no-timing")
+    assert code == 3
+    report = json.loads(out)
+    assert report["exit_status"] == 3
+    assert [(c["sequence_id"], c["matches"], c["first_mismatch"]) for c in report["checks"]] \
+        == [("A004320", 4, [5, 240, 245]), ("A002417", 5, None)]
 
 
 def test_oeis_network_failure_exits_4(capsys, tmp_path, monkeypatch):
