@@ -112,76 +112,69 @@ def _parse_family(token: str) -> formulas.SequenceId:
     raise CommandError(EXIT_USAGE, f"unknown family {token!r} (choices: {choices})")
 
 
+def _check_max_n(max_n: int, limit: int) -> None:
+    if not 1 <= max_n <= limit:
+        raise CommandError(EXIT_USAGE, f"--max-n must be in 1..{limit}, got {max_n}")
+
+
+def _check_each(items, check) -> tuple[list, list[str], int]:
+    """Run ``check`` -> (report entry, text line, ok) on every item; exit 3 if any failed."""
+    entries, lines, failed = [], [], False
+    for item in items:
+        entry, line, ok = check(item)
+        entries.append(entry)
+        lines.append(line)
+        failed = failed or not ok
+    return entries, lines, EXIT_MISMATCH if failed else EXIT_OK
+
+
 def cmd_verify(args) -> tuple[dict, str, int]:
-    if not 1 <= args.max_n <= NAIVE_MAX_ORDER:
-        raise CommandError(
-            EXIT_USAGE, f"--max-n must be in 1..{NAIVE_MAX_ORDER}, got {args.max_n}")
+    _check_max_n(args.max_n, NAIVE_MAX_ORDER)
     families = (_parse_list(args.families, _parse_family) if args.families is not None
                 else list(formulas.SequenceId))
-    results = {}
-    lines = []
-    for seq in families:
+
+    def check(seq):
         family = Family[seq.name]
-        counterexample = None
         for n in range(1, args.max_n + 1):
             spec = ShapeSpec(family, n)
-            region = build(spec)
-            counts = {m: count(region) for m, count in counting.REGION_COUNTERS.items()}
-            counts["formula"] = counting.count_family(spec, "formula")
+            counts = {m: counting.count_family(spec, m) for m in counting.COUNT_METHODS}
             if len(set(counts.values())) != 1:
-                counterexample = {"n": n, **counts}
-                break
-        results[seq.value] = {"ok": counterexample is None, "counterexample": counterexample}
-        if counterexample is None:
-            lines.append(f"{family.value:<13} n=1..{args.max_n}: ok")
-        else:
-            shown = " ".join(f"{m}={counterexample[m]}" for m in counting.COUNT_METHODS)
-            lines.append(f"{family.value:<13} MISMATCH at n={counterexample['n']}: {shown}")
-    failed = not all(result["ok"] for result in results.values())
-    lines.append("FAILED" if failed else
+                shown = " ".join(f"{m}={v}" for m, v in counts.items())
+                return ({"ok": False, "counterexample": {"n": n, **counts}},
+                        f"{family.value:<13} MISMATCH at n={n}: {shown}", False)
+        return ({"ok": True, "counterexample": None},
+                f"{family.value:<13} n=1..{args.max_n}: ok", True)
+
+    results, lines, code = _check_each(families, check)
+    lines.append("FAILED" if code else
                  f"all counts agree (naive = fast = formula, n <= {args.max_n})")
-    report = {
-        "max_n": args.max_n,
-        "families": [seq.value for seq in families],
-        "results": results,
-    }
-    return report, "\n".join(lines), EXIT_MISMATCH if failed else EXIT_OK
+    keys = [seq.value for seq in families]
+    report = {"max_n": args.max_n, "families": keys, "results": dict(zip(keys, results))}
+    return report, "\n".join(lines), code
 
 
 def cmd_bijections(args) -> tuple[dict, str, int]:
-    if not 1 <= args.max_n <= bijections.MAX_VERIFY_ORDER:
-        raise CommandError(
-            EXIT_USAGE,
-            f"--max-n must be in 1..{bijections.MAX_VERIFY_ORDER}, got {args.max_n}")
+    _check_max_n(args.max_n, bijections.MAX_VERIFY_ORDER)
     names = [args.map] if args.map else list(bijections.BIJECTION_NAMES)
-    results = {}
-    lines = []
-    failed = False
-    for name in names:
+
+    def check(name):
         sizes = []
-        failure = None
         for n in range(1, args.max_n + 1):
             report = bijections.verify_bijection(name, n)
             sizes.append(report.domain_size)
             if not report.verified:
-                failure = report
-                break
-        results[name] = {
-            "verified": failure is None,
-            "domain_sizes": sizes,
-            "counterexample": None if failure is None else str(failure.counterexample),
-        }
-        if failure is None:
-            shown = ", ".join(str(s) for s in sizes)
-            lines.append(f"{name:<15} n=1..{args.max_n}: verified (domain sizes {shown})")
-        else:
-            failed = True
-            lines.append(
-                f"{name:<15} FAILED at n={failure.order}: "
-                f"injective={failure.is_injective} surjective={failure.is_surjective} "
-                f"roundtrip={failure.roundtrip_ok} counterexample={failure.counterexample}")
-    report = {"max_n": args.max_n, "maps": names, "results": results}
-    return report, "\n".join(lines), EXIT_MISMATCH if failed else EXIT_OK
+                line = (f"{name:<15} FAILED at n={n}: "
+                        f"injective={report.is_injective} surjective={report.is_surjective} "
+                        f"roundtrip={report.roundtrip_ok} counterexample={report.counterexample}")
+                return ({"verified": False, "domain_sizes": sizes,
+                         "counterexample": str(report.counterexample)}, line, False)
+        shown = ", ".join(str(s) for s in sizes)
+        return ({"verified": True, "domain_sizes": sizes, "counterexample": None},
+                f"{name:<15} n=1..{args.max_n}: verified (domain sizes {shown})", True)
+
+    results, lines, code = _check_each(names, check)
+    report = {"max_n": args.max_n, "maps": names, "results": dict(zip(names, results))}
+    return report, "\n".join(lines), code
 
 
 def _parse_oeis_id(token: str) -> str:
@@ -200,10 +193,8 @@ def cmd_oeis(args) -> tuple[dict, str, int]:
         raise CommandError(EXIT_USAGE, f"--terms must be >= 1, got {args.terms}")
     source = _OEIS_SOURCES[args.source]
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    checks = []
-    lines = []
-    failed = False
-    for sequence_id in ids:
+
+    def check(sequence_id):
         seq = oeis.SEQUENCE_FOR_ID[sequence_id]
         family = Family[seq.name].value
         try:
@@ -213,26 +204,25 @@ def cmd_oeis(args) -> tuple[dict, str, int]:
             raise CommandError(EXIT_EXTERNAL, str(err)) from None
         except ValueError as err:
             raise CommandError(EXIT_USAGE, str(err)) from None
-        checks.append({
+        entry = {
             "sequence_id": sequence_id,
             "family": family,
             "terms": args.terms,
             "matches": result.matches,
             "first_mismatch": result.first_mismatch,
             "source": result.source,
-        })
+        }
         if result.ok:
-            lines.append(f"{sequence_id} ({family}): {result.matches}/{args.terms} "
-                         f"terms match [{result.source}]")
-        else:
-            failed = True
-            n, reference, computed = result.first_mismatch
-            lines.append(
-                f"{sequence_id} ({family}): {result.matches}/{args.terms} match; "
-                f"first mismatch at n={n}: reference={reference}, computed={computed} "
-                f"[{result.source}]")
+            return entry, (f"{sequence_id} ({family}): {result.matches}/{args.terms} "
+                           f"terms match [{result.source}]"), True
+        n, reference, computed = result.first_mismatch
+        return entry, (f"{sequence_id} ({family}): {result.matches}/{args.terms} match; "
+                       f"first mismatch at n={n}: reference={reference}, computed={computed} "
+                       f"[{result.source}]"), False
+
+    checks, lines, code = _check_each(ids, check)
     report = {"ids": ids, "terms": args.terms, "source": args.source, "checks": checks}
-    return report, "\n".join(lines), EXIT_MISMATCH if failed else EXIT_OK
+    return report, "\n".join(lines), code
 
 
 def cmd_render(args) -> tuple[dict, str, int]:

@@ -23,14 +23,10 @@ def render_ascii(region: CellRegion, axis: Optional[Axis] = None) -> str:
         pos = axis.double_x - 2 * box.a  # character offset at cell_w == 2
         if 0 <= pos <= 2 * (box.b - box.a):
             cut = pos
+    gap, cell = "." * cell_w, "#" * cell_w
     lines = []
-    for j in range(box.d - 1, box.c - 1, -1):
-        span = region.row_span(j)
-        chars = []
-        for i in range(box.a, box.b):
-            filled = span is not None and span[0] <= i < span[1]
-            chars.append(("#" if filled else ".") * cell_w)
-        line = "".join(chars)
+    for _, lo, hi in reversed(list(region.rows())):
+        line = gap * (lo - box.a) + cell * (hi - lo) + gap * (box.b - hi)
         if cut is not None:
             line = line[:cut] + "|" + line[cut:]
         lines.append(line)
@@ -57,9 +53,7 @@ def render_svg(region: CellRegion, axis: Optional[Axis] = None) -> str:
         f'viewBox="-0.5 -0.5 {width + 1} {height + 1}">',
         '<g fill="#dde3f0" stroke="#30343c" stroke-width="0.05">',
     ]
-    for j in range(box.d - 1, box.c - 1, -1):
-        lo, hi = region.row_span(j) or (0, 0)
-        y = box.d - 1 - j  # SVG y grows downward
+    for y, (_, lo, hi) in enumerate(reversed(list(region.rows()))):  # SVG y grows down
         for i in range(lo, hi):
             lines.append(f'<rect x="{i - box.a}" y="{y}" width="1" height="1"/>')
     lines.append("</g>")
