@@ -160,14 +160,14 @@ def cmd_bijections(args) -> tuple[dict, str, int]:
     def check(name):
         sizes = []
         for n in range(1, args.max_n + 1):
-            report = bijections.verify_bijection(name, n)
-            sizes.append(report.domain_size)
-            if not report.verified:
+            result = bijections.verify_bijection(name, n)
+            sizes.append(result.domain_size)
+            if not result.verified:
                 line = (f"{name:<15} FAILED at n={n}: "
-                        f"injective={report.is_injective} surjective={report.is_surjective} "
-                        f"roundtrip={report.roundtrip_ok} counterexample={report.counterexample}")
+                        f"injective={result.is_injective} surjective={result.is_surjective} "
+                        f"roundtrip={result.roundtrip_ok} counterexample={result.counterexample}")
                 return ({"verified": False, "domain_sizes": sizes,
-                         "counterexample": str(report.counterexample)}, line, False)
+                         "counterexample": str(result.counterexample)}, line, False)
         shown = ", ".join(str(s) for s in sizes)
         return ({"verified": True, "domain_sizes": sizes, "counterexample": None},
                 f"{name:<15} n=1..{args.max_n}: verified (domain sizes {shown})", True)
