@@ -1,7 +1,8 @@
 """Exact lattice-rectangle counts inside a cell region, three independent ways.
 
-``count_naive`` is the oracle: enumerate every candidate rectangle in the
-bounding box and test fullness against a 2D prefix-sum table, O(W^2 H^2).
+``count_naive`` is the oracle: it tests every candidate rectangle in the
+bounding box for fullness against a 2D prefix-sum table, all of one band
+height per numpy step, still O(W^2 H^2) work.
 The rest use row-convexity: rows c..d-1 contain exactly the rectangles whose
 columns lie in ``[max lo, min hi)`` of those rows.  ``count_fast`` sums
 C(w+1, 2) over the non-empty bands: those inside 32-row leaves by the band
@@ -53,38 +54,33 @@ def classify(rect: LatticeRect, axis: Axis) -> CrossingClass:
     return CrossingClass.CENTERED
 
 
-def _prefix_table(region: CellRegion) -> list[list[int]]:
-    """Cumulative cell counts: P[r][i] = cells in rows < r, columns < i (box-relative)."""
-    box = region.bounding_box()
-    width = box.b - box.a
-    table = [[0] * (width + 1)]
-    for _, lo, hi in region.rows():
-        lo2, hi2 = lo - box.a, hi - box.a
-        prev = table[-1]
-        table.append([prev[i] + min(i, hi2) - min(i, lo2) for i in range(width + 1)])
-    return table
+#: count_naive compares about this many (a, b) pairs per numpy step, one row at least.
+_NAIVE_CHUNK = 2**20
 
 
 def count_naive(region: CellRegion) -> int:
-    """Oracle count: try every (a, b) x (c, d) in the bounding box."""
+    """Oracle count: try every (a, b) x (c, d) in the bounding box, a band height per step.
+
+    P[r, i] counts the cells in rows < r and columns < i, box-relative.  For band
+    height k, S[c, i] = P[c + k, i] - P[c, i] - k * i is minus the cells missing
+    from rows c..c+k-1 left of column i, so those rows hold columns a..b-1
+    exactly when S[c, a] == S[c, b]; every pair of a row of S is compared.
+    """
     if region.is_empty:
         return 0
-    table = _prefix_table(region)
-    width = len(table[0]) - 1
-    height = len(table) - 1
-    total = 0
-    for c in range(height):
-        row_c = table[c]
-        for d in range(c + 1, height + 1):
-            row_d = table[d]
-            nrows = d - c
-            for a in range(width):
-                da = row_d[a]
-                ca = row_c[a]
-                for b in range(a + 1, width + 1):
-                    if row_d[b] - row_c[b] - da + ca == (b - a) * nrows:
-                        total += 1
-    return total
+    box = region.bounding_box()
+    lo, hi = np.array([(lo - box.a, hi - box.a) for _, lo, hi in region.rows()]).T
+    cols = np.arange(box.width + 1)
+    table = np.zeros((region.height + 1, cols.size), np.int64)
+    np.cumsum(np.clip(cols, lo[:, None], hi[:, None]) - lo[:, None], axis=0, out=table[1:])
+    rows = max(1, _NAIVE_CHUNK // cols.size**2)
+    pairs = 0  # equal (a, b) pairs with a != b, each counted both ways
+    for k in range(1, region.height + 1):
+        short = table[k:] - table[:-k] - k * cols
+        for start in range(0, len(short), rows):
+            part = short[start:start + rows]
+            pairs += int(np.count_nonzero(part[:, :, None] == part[:, None, :])) - part.size
+    return pairs // 2
 
 
 def rectangles(region: CellRegion) -> Iterator[LatticeRect]:

@@ -13,7 +13,6 @@ import os
 import re
 import tempfile
 import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -95,6 +94,8 @@ def bfile_url(sequence_id: str) -> str:
 
 
 def _download(url: str) -> str:
+    import urllib.request  # pulls in http.client, email and ssl: only when downloading
+
     try:
         with urllib.request.urlopen(url, timeout=30) as response:
             return response.read().decode("utf-8")

@@ -413,19 +413,26 @@ def test_oeis_json_report(capsys):
 
 # --- process-level smoke ----------------------------------------------------------------
 
-def run_module(*argv):
-    """``python -m latticerect`` in a fresh process that imports this checkout."""
+def run_python(*argv):
+    """``python *argv`` in a fresh process that imports this checkout."""
     src = str(Path(latticerect.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "latticerect", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_module_entry_point():
-    result = run_module("count", "aztec:1", "--method", "all")
+    result = run_python("-m", "latticerect", "count", "aztec:1", "--method", "all")
     assert result.returncode == 0
     assert "aztec:1: 9" in result.stdout
 
 
 def test_usage_error_exit_code():
-    assert run_module("count").returncode == 2
+    assert run_python("-m", "latticerect", "count").returncode == 2
+
+
+def test_cli_import_leaves_urllib_request_unloaded():
+    # urllib.request pulls in http.client, email and ssl; only a download needs it
+    result = run_python("-c", "import sys, latticerect.cli; "
+                        "print('urllib.request' in sys.modules)")
+    assert (result.returncode, result.stdout) == (0, "False\n")

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -7,9 +8,9 @@ from conftest import random_row_convex
 from latticerect import (Axis, CellRegion, CrossingClass, Dihedral,
                          LatticeRect, aztec, aztec_half, biscuit, biscuit_half,
                          build, classify, count_breakdown, count_family,
-                         count_fast, count_naive, rectangles, staircase,
-                         staircase_rects, transform)
-from latticerect.cli import FAST_MAX_ORDER
+                         count_fast, count_naive, parse_shape_spec, rectangles,
+                         staircase, staircase_rects, transform)
+from latticerect.cli import FAST_MAX_ORDER, NAIVE_MAX_ORDER, main
 from latticerect.formulas import SequenceId, evaluate
 
 # frozen by independent hand/brute-force enumeration
@@ -30,6 +31,25 @@ def test_count_naive_examples():
     assert count_naive(build(staircase(2))) == 5
     assert count_naive(build(biscuit_half(1))) == 1
     assert count_naive(EMPTY) == 0
+
+
+@pytest.mark.parametrize("spec", ["aztec:6", "biscuit-half:5:smaller", "staircase:5:ur"])
+def test_count_naive_at_far_offsets(spec):
+    # the spans must be box-relative before they go into int64 arrays
+    region = build(parse_shape_spec(spec))
+    assert count_naive(region.translate(10**30, -10**30)) == count_naive(region)
+
+
+def test_count_naive_compares_in_bounded_chunks():
+    # about 1.2 MiB traced in chunks of about 2**20 booleans; comparing all 30
+    # rows of 301 columns at once holds 2.7 MB of booleans, 2.9 MiB traced
+    tracemalloc.start()
+    try:
+        assert count_naive(CellRegion(0, ((0, 300),) * 30)) == _grid_count(300, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_count_fast_examples():
@@ -110,6 +130,15 @@ def test_count_fast_at_the_largest_accepted_order():
     for make, seq in [(aztec, SequenceId.AZTEC), (biscuit, SequenceId.BISCUIT)]:
         assert count_fast(build(make(FAST_MAX_ORDER))) == evaluate(seq, FAST_MAX_ORDER)
     assert time.perf_counter() - started < 5.0
+
+
+def test_verify_at_the_largest_accepted_naive_order(capsys):
+    # about 1 s for all five families on a 2-core x86-64 host, nearly all of
+    # it in count_naive
+    started = time.perf_counter()
+    assert main(["verify", "--max-n", str(NAIVE_MAX_ORDER)]) == 0
+    assert time.perf_counter() - started < 15.0
+    assert capsys.readouterr().out.endswith(f"(naive = fast = formula, n <= {NAIVE_MAX_ORDER})\n")
 
 
 def test_count_fast_disjoint_neighbouring_rows():

@@ -65,6 +65,22 @@ def test_fast_equals_naive_with_small_leaves(leaf, region):
         assert count_fast(region) == count_naive(region)
 
 
+@settings(deadline=None)
+@given(row_convex_regions())
+def test_naive_equals_column_pair_count(region):
+    assert count_naive(region) == count_by_column_pairs(region)
+
+
+@pytest.mark.parametrize("chunk", [1, 300])
+@settings(deadline=None)
+@given(region=row_convex_regions())
+def test_naive_equals_column_pair_count_in_small_chunks(chunk, region):
+    # one row per comparison, or a few rows of the narrower regions above
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_NAIVE_CHUNK", chunk)
+        assert count_naive(region) == count_by_column_pairs(region)
+
+
 @st.composite
 def tall_regions(draw, max_height=300, box=10):
     """Row-convex regions up to max_height rows tall in a box columns wide.
