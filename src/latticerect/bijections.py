@@ -1,10 +1,11 @@
 """Invertible maps behind the counting identities, with exhaustive verifiers.
 
 Each map is a concrete coordinate transformation between two finite rectangle
-families, paired with its inverse.  ``verify_bijection`` enumerates a map's
-whole domain and codomain at a given order and checks injectivity,
-surjectivity, and the roundtrip, so the identities the closed forms rest on
-can be replayed mechanically.
+families, paired with its inverse.  A map's domain is a shape at order n and
+maybe some crossing classes about its axis: the forward map refuses the rest
+with ``_require``, and ``_MAPS`` lists it with ``_rects``, which takes the same
+arguments.  ``verify_bijection`` walks the domain once and checks injectivity,
+surjectivity and the roundtrip, so the closed forms' identities are replayed.
 """
 from __future__ import annotations
 
@@ -14,19 +15,37 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .counting import CrossingClass, classify, rectangles
-from .geometry import (CellRegion, LatticeRect, ShapeSpec, aztec_half, biscuit_half,
+from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, aztec_half, biscuit_half,
                        build, staircase, vertical_axis)
 
 #: Exhaustive verification is guarded to small orders; domain sizes grow as n^4.
 MAX_VERIFY_ORDER = 20
 #: Vertical symmetry axes of the canonical Aztec diamond and biscuit halves.
 _AZTEC_AXIS, _BISCUIT_AXIS = vertical_axis(aztec_half(1)), vertical_axis(biscuit_half(1))
+#: The classes of a rectangle whose interior meets the axis.
+_CROSSING = (CrossingClass.LEFT, CrossingClass.RIGHT, CrossingClass.CENTERED)
 
 
 @functools.lru_cache(maxsize=8)
-def _built(spec: ShapeSpec) -> CellRegion:
-    """build(spec), once per shape: the maps check containment per rectangle."""
-    return build(spec)
+def _built(shape: Callable[[int], ShapeSpec], n: int) -> CellRegion:
+    """build(shape(n)), once per shape and order: the maps check containment per rectangle."""
+    return build(shape(n))
+
+
+def _require(rect: LatticeRect, shape: Callable[[int], ShapeSpec], n: int,
+             axis: Optional[Axis] = None, classes: tuple = _CROSSING) -> None:
+    """Refuse a rectangle outside shape(n) or, given an axis, outside the classes about it."""
+    if not _built(shape, n).contains_rect(rect):
+        raise ValueError(f"{rect} is not inside {shape(n)}")
+    if axis is not None and (cls := classify(rect, axis)) not in classes:
+        raise ValueError(f"{rect} is {cls.name} about {axis}")
+
+
+def _rects(shape: Callable[[int], ShapeSpec], n: int, axis: Optional[Axis] = None,
+           classes: tuple = _CROSSING) -> list[LatticeRect]:
+    """The rectangles that _require accepts, in rectangles() order."""
+    return [r for r in rectangles(_built(shape, n))
+            if axis is None or classify(r, axis) in classes]
 
 
 @dataclass(frozen=True)
@@ -54,8 +73,7 @@ def staircase_to_quadruple(rect: LatticeRect, n: int) -> Quadruple:
     [a, b] x [c, d] satisfies exactly 0 <= a < b < c < d <= n+2, so its own
     coordinates are the encoding.
     """
-    if not _built(staircase(n)).contains_rect(rect):
-        raise ValueError(f"{rect} is not inside the order-{n} dl staircase")
+    _require(rect, staircase, n)
     return Quadruple(rect.a, rect.b, n + 2 - rect.d, n + 2 - rect.c)
 
 
@@ -66,11 +84,6 @@ def quadruple_to_staircase(q: Quadruple, n: int) -> LatticeRect:
     return LatticeRect(q.a, q.b, n + 2 - q.d, n + 2 - q.c)
 
 
-def _require(rect: LatticeRect, region: CellRegion, what: str) -> None:
-    if not region.contains_rect(rect):
-        raise ValueError(f"{rect} is not inside {what}")
-
-
 def fold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     """Map a left-heavy crossing rectangle of the top half diamond inward.
 
@@ -78,9 +91,7 @@ def fold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     the right part leaves the strip [b, -a] x [c, d], which lands in the
     order-(n-1) staircase one column right of the axis.
     """
-    _require(rect, _built(aztec_half(n)), f"aztec-half:{n}")
-    if classify(rect, _AZTEC_AXIS) is not CrossingClass.LEFT:
-        raise ValueError(f"{rect} is not left-heavy about x=0")
+    _require(rect, aztec_half, n, _AZTEC_AXIS, (CrossingClass.LEFT,))
     return LatticeRect(rect.b, -rect.a, rect.c, rect.d)
 
 
@@ -88,7 +99,7 @@ def unfold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     """Inverse of fold_left_heavy: [u, v] x [c, d] back to [-v, u] x [c, d]."""
     if rect.a < 1:
         raise ValueError(f"{rect} does not lie strictly right of the axis")
-    _require(rect, _built(aztec_half(n)), f"aztec-half:{n}")
+    _require(rect, aztec_half, n)
     return LatticeRect(-rect.b, rect.a, rect.c, rect.d)
 
 
@@ -114,17 +125,13 @@ def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
     diamond; a rectangle whose interior meets the axis grows with it, to
     [a-1, b] x [c, d], which crosses the new diamond's axis x = 0.
     """
-    _require(rect, _built(biscuit_half(n)), f"biscuit-half:{n}")
-    if classify(rect, _BISCUIT_AXIS) is CrossingClass.NON_CROSSING:
-        raise ValueError(f"{rect} does not cross the axis x=1/2")
+    _require(rect, biscuit_half, n, _BISCUIT_AXIS)
     return LatticeRect(rect.a - 1, rect.b, rect.c, rect.d)
 
 
 def shrink_to_biscuit_half(rect: LatticeRect, n: int) -> LatticeRect:
     """Inverse of expand_to_aztec_half: drop the inserted column."""
-    _require(rect, _built(aztec_half(n)), f"aztec-half:{n}")
-    if classify(rect, _AZTEC_AXIS) is CrossingClass.NON_CROSSING:
-        raise ValueError(f"{rect} does not cross the axis x=0")
+    _require(rect, aztec_half, n, _AZTEC_AXIS)
     return LatticeRect(rect.a + 1, rect.b, rect.c, rect.d)
 
 
@@ -146,42 +153,24 @@ class BijectionReport:
         return self.is_injective and self.is_surjective and self.roundtrip_ok
 
 
-def _quadruple_sides(n: int):
-    domain = list(rectangles(_built(staircase(n))))
-    codomain = {Quadruple(*combo) for combo in itertools.combinations(range(n + 3), 4)}
-    return domain, codomain, staircase_to_quadruple, quadruple_to_staircase
-
-
-def _type_l_sides(n: int):
-    domain = [r for r in rectangles(_built(aztec_half(n)))
-              if classify(r, _AZTEC_AXIS) is CrossingClass.LEFT]
-    inner = _built(staircase(n - 1)).translate(1, 0)
-    codomain = set(rectangles(inner))
-    return domain, codomain, fold_left_heavy, unfold_left_heavy
-
-
-def _type_c_sides(n: int):
-    domain = [r for r in rectangles(_built(aztec_half(n)))
-              if classify(r, _AZTEC_AXIS) is CrossingClass.CENTERED]
-    codomain = {r for r in rectangles(_built(staircase(n))) if r.a == 0}
-    return (domain, codomain,
-            lambda rect, _n: anchor_centered(rect),
-            lambda rect, _n: unanchor_centered(rect))
-
-
-def _biscuit_expand_sides(n: int):
-    domain = [r for r in rectangles(_built(biscuit_half(n)))
-              if classify(r, _BISCUIT_AXIS) is not CrossingClass.NON_CROSSING]
-    codomain = {r for r in rectangles(_built(aztec_half(n)))
-                if classify(r, _AZTEC_AXIS) is not CrossingClass.NON_CROSSING}
-    return domain, codomain, expand_to_aztec_half, shrink_to_biscuit_half
-
-
-_MAPS: dict[str, Callable] = {
-    "quadruple": _quadruple_sides,
-    "type_l": _type_l_sides,
-    "type_c": _type_c_sides,
-    "biscuit_expand": _biscuit_expand_sides,
+#: name -> order -> (domain in enumeration order, codomain, forward, inverse)
+_MAPS: dict[str, Callable[[int], tuple]] = {
+    "quadruple": lambda n: (
+        _rects(staircase, n),
+        {Quadruple(*combo) for combo in itertools.combinations(range(n + 3), 4)},
+        staircase_to_quadruple, quadruple_to_staircase),
+    "type_l": lambda n: (
+        _rects(aztec_half, n, _AZTEC_AXIS, (CrossingClass.LEFT,)),
+        set(rectangles(_built(staircase, n - 1).translate(1, 0))),
+        fold_left_heavy, unfold_left_heavy),
+    "type_c": lambda n: (
+        _rects(aztec_half, n, _AZTEC_AXIS, (CrossingClass.CENTERED,)),
+        {r for r in _rects(staircase, n) if r.a == 0},
+        lambda rect, _n: anchor_centered(rect), lambda rect, _n: unanchor_centered(rect)),
+    "biscuit_expand": lambda n: (
+        _rects(biscuit_half, n, _BISCUIT_AXIS),
+        set(_rects(aztec_half, n, _AZTEC_AXIS)),
+        expand_to_aztec_half, shrink_to_biscuit_half),
 }
 
 BIJECTION_NAMES = tuple(_MAPS)
@@ -199,9 +188,8 @@ def verify_bijection(name: str, n: int) -> BijectionReport:
         raise ValueError(f"order must be in 1..{MAX_VERIFY_ORDER}, got {n}")
     domain, codomain, forward, inverse = _MAPS[name](n)
     images = set()
-    counterexample = None
-    in_codomain = True
-    roundtrip_ok = True
+    counterexample = None  # the first in domain order
+    in_codomain = roundtrip_ok = True
     for x in domain:
         try:
             y = forward(x, n)
@@ -214,22 +202,16 @@ def verify_bijection(name: str, n: int) -> BijectionReport:
             in_codomain = False
             counterexample = counterexample or (x, y)
             continue
-        back = inverse(y, n)
+        try:
+            back = inverse(y, n)
+        except ValueError as err:
+            back = str(err)
         if back != x:
             roundtrip_ok = False
             counterexample = counterexample or (x, y, back)
     is_injective = in_codomain and len(images) == len(domain)
     is_surjective = in_codomain and images == codomain
-    if not (is_injective and is_surjective) and counterexample is None:
-        missed = codomain - images
-        counterexample = (next(iter(missed)),) if missed else None
-    return BijectionReport(
-        name=name,
-        order=n,
-        domain_size=len(domain),
-        image_size=len(images),
-        is_injective=is_injective,
-        is_surjective=is_surjective,
-        roundtrip_ok=roundtrip_ok,
-        counterexample=counterexample,
-    )
+    if counterexample is None and images != codomain:  # every image roundtrips: one is missed
+        counterexample = (next(iter(codomain - images)),)
+    return BijectionReport(name, n, len(domain), len(images), is_injective, is_surjective,
+                           roundtrip_ok, counterexample)

@@ -204,6 +204,9 @@ def cmd_oeis(args) -> tuple[dict, str, int]:
             raise CommandError(EXIT_EXTERNAL, str(err)) from None
         except ValueError as err:
             raise CommandError(EXIT_USAGE, str(err)) from None
+        except OSError as err:  # the b-file cache, as in render --out
+            where = cache_dir or oeis.default_cache_dir()
+            raise CommandError(EXIT_USAGE, f"cannot write {where}: {err.strerror}") from None
         entry = {
             "sequence_id": sequence_id,
             "family": family,

@@ -106,16 +106,16 @@ _LEAF_ROWS = 32
 
 def _box_spans(region: CellRegion, bound: Callable[[int, int], int]) -> np.ndarray:
     """The rows' ``[lo, hi)`` as an (H, 2) array shifted so the box starts at 0;
-    int64 while every coordinate and ``bound(W, H)`` fit it, else Python ints."""
+    int64 while ``bound(W, H)`` fits it, else Python ints."""
     try:
         spans = np.fromiter(chain.from_iterable(region.spans), np.int64).reshape(-1, 2)
-        left = int(spans.min())
-        if bound(int(spans.max()) - left, region.height) < 2**63:
-            return spans - left
-    except OverflowError:
-        pass
-    spans = np.array(region.spans, dtype=object)
-    return spans - spans.min()
+    except OverflowError:  # far from the origin: shift in Python, then as near it
+        left = min(lo for lo, _ in region.spans)
+        spans = np.array([(lo - left, hi - left) for lo, hi in region.spans], dtype=object)
+    left = int(spans.min())
+    if bound(int(spans.max()) - left, region.height) < 2**63:
+        return (spans - left).astype(np.int64, copy=False)
+    return spans.astype(object) - left
 
 
 def _bands(spans: np.ndarray, leaf: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:

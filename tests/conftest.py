@@ -1,6 +1,6 @@
 import random
 
-from latticerect import Axis, CellRegion, CrossingClass, classify, rectangles
+from latticerect import Axis, CellRegion, CrossingClass, bijections, classify, rectangles
 
 
 def random_row_convex(rng: random.Random, box: int = 12) -> CellRegion:
@@ -36,3 +36,18 @@ def classify_tally(region: CellRegion, axis: Axis) -> dict:
     for rect in rectangles(region):
         tally[classify(rect, axis)] += 1
     return tally
+
+
+def refuse_type_l_inverse(monkeypatch, from_order: int) -> None:
+    """Make type_l's inverse raise ValueError on every rectangle from the order on."""
+    sides = bijections._MAPS["type_l"]
+
+    def refusing_sides(n):
+        domain, codomain, forward, inverse = sides(n)
+
+        def refusing(rect, order):
+            if order >= from_order:
+                raise ValueError(f"refused {rect}")
+            return inverse(rect, order)
+        return domain, codomain, forward, refusing
+    monkeypatch.setitem(bijections._MAPS, "type_l", refusing_sides)

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from latticerect import (Axis, CrossingClass, LatticeRect, Quadruple,
+from conftest import refuse_type_l_inverse
+from latticerect import (Axis, CrossingClass, LatticeRect, Quadruple, ShapeSpec,
                          anchor_centered, aztec_half, binomial, biscuit_half,
                          build, classify, expand_to_aztec_half,
                          fold_left_heavy, quadruple_to_staircase, rectangles,
@@ -178,8 +179,22 @@ def test_verify_bijection_guards():
 
 @pytest.mark.parametrize("name", BIJECTION_NAMES)
 def test_verify_bijection_builds_each_shape_once(monkeypatch, name):
-    built = []
+    built, made = [], []
     monkeypatch.setattr(bijections, "build", lambda spec: built.append(spec) or build(spec))
+    check = ShapeSpec.__post_init__
+    monkeypatch.setattr(ShapeSpec, "__post_init__", lambda spec: made.append(spec) or check(spec))
     bijections._built.cache_clear()
     assert verify_bijection(name, 6).verified
     assert built and len(built) == len(set(built)), built
+    # the maps look their shapes up by constructor and order, not by a fresh ShapeSpec
+    assert made and len(made) == len(set(made)), made
+
+
+def test_verify_bijection_reports_a_raising_inverse(monkeypatch):
+    refuse_type_l_inverse(monkeypatch, 3)
+    assert verify_bijection("type_l", 2).verified
+    report = verify_bijection("type_l", 3)
+    assert (report.is_injective, report.is_surjective, report.roundtrip_ok) == (True, True, False)
+    x, y, message = report.counterexample
+    assert (x, y) == (LatticeRect(-3, 1, 0, 1), fold_left_heavy(x, 3))
+    assert message == f"refused {y}"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import refuse_type_l_inverse
 import latticerect
 from latticerect import Family, SequenceId, bijections, counting, evaluate
 from latticerect.cli import main
@@ -330,6 +331,15 @@ def test_bijections_failure_is_reported_and_exits_3(capsys, monkeypatch):
     assert json.loads(out) == expected
 
 
+def test_bijections_raising_inverse_is_reported_and_exits_3(capsys, monkeypatch):
+    refuse_type_l_inverse(monkeypatch, 3)
+    code, out, err = run(capsys, "bijections", "--max-n", "3")
+    assert (code, err) == (3, "")
+    assert ("type_l          FAILED at n=3: injective=True surjective=True roundtrip=False "
+            "counterexample=(LatticeRect(a=-3, b=1, c=0, d=1), LatticeRect(a=1, b=3, c=0, d=1), "
+            "'refused [1,3]x[0,1]')\n") in out
+
+
 # --- oeis ----------------------------------------------------------------------------
 
 def test_oeis_fixture_check(capsys):
@@ -401,6 +411,20 @@ def test_oeis_network_failure_exits_4(capsys, tmp_path, monkeypatch):
                        "--cache-dir", str(tmp_path))
     assert code == 4
     assert "download failed" in err
+
+
+def test_oeis_unwritable_cache_dir_exits_2(capsys, tmp_path, monkeypatch):
+    served = tmp_path / "served" / "A004320"
+    served.mkdir(parents=True)
+    lines = [f"{n} {evaluate(SequenceId.AZTEC_HALF, n)}" for n in range(1, 21)]
+    (served / "b004320.txt").write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("LATTICERECT_OEIS_URL", (tmp_path / "served").as_uri())
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory\n")
+    code, out, err = run(capsys, "oeis", "--ids", "A004320", "--source", "network",
+                         "--cache-dir", str(blocker / "cache"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {blocker / 'cache'}")
 
 
 def test_oeis_json_report(capsys):

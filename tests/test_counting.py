@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import random_row_convex
@@ -9,8 +10,11 @@ from latticerect import (Axis, CellRegion, CrossingClass, Dihedral,
                          LatticeRect, aztec, aztec_half, biscuit, biscuit_half,
                          build, classify, count_breakdown, count_family,
                          count_fast, count_naive, parse_shape_spec, rectangles,
-                         staircase, staircase_rects, transform)
+                         staircase, staircase_rects, transform,
+                         verify_bijection)
+from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER
 from latticerect.cli import FAST_MAX_ORDER, NAIVE_MAX_ORDER, main
+from latticerect.counting import _box_spans
 from latticerect.formulas import SequenceId, evaluate
 
 # frozen by independent hand/brute-force enumeration
@@ -116,11 +120,32 @@ def test_count_fast_exact_about_the_level_bound(height, width):
     assert count_fast(region) == _grid_count(width, height)
 
 
+def fast_bound(w, h):  # count_fast's int64 bound on a box of W columns and H rows
+    return (h * (w + 1)) ** 2
+
+
 def test_count_fast_past_int64_coordinates():
-    # 80 rows, so levels run on the Python-int arrays too
+    # 80 rows, so levels run too: the box is shifted to 0 in Python, then on int64
     region = build(aztec(40))
     far = region.translate(10**30, -10**30)
+    assert _box_spans(far, fast_bound).dtype == np.int64
     assert count_fast(far) == count_fast(region) == evaluate(SequenceId.AZTEC, 40)
+
+
+def test_count_fast_wide_box_far_from_the_origin():
+    # 80 rows of widths about 2**40 from a common left side at 1e30: the levels
+    # run on Python ints; with one lo, band c..d-1 holds C(min hi + 1, 2) rectangles
+    rng = random.Random(11)
+    widths = [2**40 + rng.randrange(2**20) for _ in range(80)]
+    region = CellRegion(-10**30, tuple((10**30, 10**30 + w) for w in widths))
+    assert _box_spans(region, fast_bound).dtype == object
+    expected = 0
+    for c in range(len(widths)):
+        narrowest = widths[c]
+        for d in range(c, len(widths)):
+            narrowest = min(narrowest, widths[d])
+            expected += narrowest * (narrowest + 1) // 2
+    assert count_fast(region) == expected
 
 
 def test_count_fast_at_the_largest_accepted_order():
@@ -139,6 +164,19 @@ def test_verify_at_the_largest_accepted_naive_order(capsys):
     assert main(["verify", "--max-n", str(NAIVE_MAX_ORDER)]) == 0
     assert time.perf_counter() - started < 15.0
     assert capsys.readouterr().out.endswith(f"(naive = fast = formula, n <= {NAIVE_MAX_ORDER})\n")
+
+
+def test_verify_bijection_at_the_largest_accepted_order():
+    # about 1.3 s for all four maps on a 2-core x86-64 host
+    n, s = MAX_VERIFY_ORDER, staircase_rects
+    expected = {"quadruple": s(n), "type_l": s(n - 1),
+                "type_c": s(n) - s(n - 1), "biscuit_expand": s(n) + s(n - 1)}
+    started = time.perf_counter()
+    for name in BIJECTION_NAMES:
+        report = verify_bijection(name, n)
+        assert report.verified, report
+        assert report.domain_size == report.image_size == expected[name]
+    assert time.perf_counter() - started < 10.0
 
 
 def test_count_fast_disjoint_neighbouring_rows():
