@@ -32,13 +32,6 @@ RENDER_MAX_ORDER = 1000
 _ORDER_GUARDS = {"naive-method": NAIVE_MAX_ORDER, "fast-method": FAST_MAX_ORDER,
                  "render": RENDER_MAX_ORDER}
 
-_OEIS_SOURCES = {
-    "fixture": "fixture-only",
-    "cache": "cache-only",
-    "network": "network-then-cache",
-}
-
-
 class CommandError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -191,7 +184,6 @@ def cmd_oeis(args) -> tuple[dict, str, int]:
            else list(oeis.SEQUENCE_FOR_ID))
     if args.terms < 1:
         raise CommandError(EXIT_USAGE, f"--terms must be >= 1, got {args.terms}")
-    source = _OEIS_SOURCES[args.source]
     cache_dir = Path(args.cache_dir) if args.cache_dir else None
 
     def check(sequence_id):
@@ -199,7 +191,7 @@ def cmd_oeis(args) -> tuple[dict, str, int]:
         family = Family[seq.name].value
         try:
             result = oeis.check(sequence_id, seq, args.terms,
-                                source=source, cache_dir=cache_dir)
+                                source=args.source, cache_dir=cache_dir)
         except oeis.FetchError as err:
             raise CommandError(EXIT_EXTERNAL, str(err)) from None
         except ValueError as err:
@@ -295,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oeis_cmd.add_argument("--ids", help="comma list of OEIS ids (default: all four)")
     oeis_cmd.add_argument("--terms", type=int, default=20,
                           help="number of terms to compare from n=1")
-    oeis_cmd.add_argument("--source", choices=tuple(_OEIS_SOURCES), default="fixture",
+    oeis_cmd.add_argument("--source", choices=oeis.SOURCES, default="fixture",
                           help="term source: bundled fixtures, local cache, or network")
     oeis_cmd.add_argument("--cache-dir",
                           help="override the b-file cache directory "

@@ -1,10 +1,11 @@
 """OEIS b-file retrieval, parsing, caching, and term-by-term verification.
 
 Offline first: reference terms for the four identified sequences ship with the
-package, so checks run with no network.  A live fetch is available behind an
-injectable transport and a small on-disk cache (``<cache>/<id>.bfile``; the
-directory defaults to ``~/.cache/latticerect`` and can be moved with the
-``LATTICERECT_OEIS_CACHE`` environment variable).
+package, so checks run with no network.  :data:`SOURCES` are the CLI's ``--source``
+names: ``fixture`` (the bundled terms), ``cache`` (``<cache>/<id>.bfile``, under
+``$LATTICERECT_OEIS_CACHE`` or ``~/.cache/latticerect``), and ``network`` (a
+download through an injectable transport, which writes the cache and falls back
+to a warm cache when it fails).
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import dataclasses
 import os
 import re
 import tempfile
-import urllib.error
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -20,13 +20,14 @@ from typing import Callable, Optional
 
 from .formulas import OEIS_IDS, SequenceId, evaluate
 
-#: Accepted retrieval policies for :func:`fetch`.
-SOURCES = ("network-then-cache", "cache-only", "fixture-only")
+#: Where :func:`fetch` reads a b-file; ``BFile.source`` reports the one that served it.
+SOURCES = ("fixture", "cache", "network")
 
 #: Which of our sequences each supported OEIS entry lists.
 SEQUENCE_FOR_ID = {oeis_id: seq for seq, oeis_id in OEIS_IDS.items()}
 
 _ID_RE = re.compile(r"\AA[0-9]{6}\Z")
+_INT_RE = re.compile(r"\A-?[0-9]+\Z")
 _ENV_CACHE = "LATTICERECT_OEIS_CACHE"
 _ENV_URL = "LATTICERECT_OEIS_URL"
 
@@ -51,8 +52,8 @@ class BFile:
 def parse_bfile(text: str, sequence_id: Optional[str] = None) -> BFile:
     """Parse b-file text: ``<index> <value>`` lines, blank lines, # comments.
 
-    Anything else is an error carrying its line number, as is a non-increasing
-    index column.
+    Each field is ASCII ``-?[0-9]+``.  Anything else is an error carrying its line
+    number, as is a non-increasing index column.
     """
     if sequence_id is not None and not _ID_RE.match(sequence_id):
         raise ValueError(f"bad OEIS id {sequence_id!r}")
@@ -65,10 +66,9 @@ def parse_bfile(text: str, sequence_id: Optional[str] = None) -> BFile:
         parts = line.split()
         if len(parts) != 2:
             raise BFileError(f"line {num}: expected '<index> <value>', got {raw!r}")
-        try:
-            index, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise BFileError(f"line {num}: non-integer field in {raw!r}") from None
+        if not all(map(_INT_RE.match, parts)):
+            raise BFileError(f"line {num}: non-integer field in {raw!r}")
+        index, value = map(int, parts)
         if last_index is not None and index <= last_index:
             raise BFileError(f"line {num}: index {index} does not increase past {last_index}")
         last_index = index
@@ -94,12 +94,13 @@ def bfile_url(sequence_id: str) -> str:
 
 
 def _download(url: str) -> str:
+    import http.client
     import urllib.request  # pulls in http.client, email and ssl: only when downloading
 
     try:
         with urllib.request.urlopen(url, timeout=30) as response:
             return response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, ValueError) as err:
+    except (OSError, ValueError, http.client.HTTPException) as err:  # URLError is an OSError
         raise FetchError(f"download failed for {url}: {err}") from None
 
 
@@ -110,51 +111,48 @@ def _fixture_text(sequence_id: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def fetch(sequence_id: str, source: str = "network-then-cache",
+def fetch(sequence_id: str, source: str = "network",
           cache_dir: Optional[Path] = None,
           transport: Optional[Callable[[str], str]] = None) -> BFile:
-    """Retrieve a b-file according to the source policy.
+    """Retrieve a b-file from one of :data:`SOURCES`.
 
-    ``network-then-cache`` downloads (via ``transport``, default urllib) and
-    writes the cache, falling back to a warm cache when the download fails;
-    ``cache-only`` and ``fixture-only`` never touch the network.  Retrieval
-    failures raise FetchError; malformed content raises BFileError.
+    ``network`` downloads (via ``transport``, default urllib) and writes the
+    cache, falling back to a warm cache when the download fails; ``cache`` and
+    ``fixture`` never touch the network.  Retrieval failures raise FetchError;
+    malformed content raises BFileError.
     """
     if not _ID_RE.match(sequence_id):
         raise ValueError(f"bad OEIS id {sequence_id!r}")
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
-    if source == "fixture-only":
+    if source == "fixture":
         bfile = parse_bfile(_fixture_text(sequence_id), sequence_id)
         return dataclasses.replace(bfile, source="fixture")
-    cache_file = (Path(cache_dir) if cache_dir else default_cache_dir()) \
-        / f"{sequence_id}.bfile"
-    if source == "cache-only":
-        if not cache_file.is_file():
-            raise FetchError(f"no cached b-file at {cache_file}")
-        bfile = parse_bfile(cache_file.read_text(encoding="utf-8"), sequence_id)
-        return dataclasses.replace(bfile, source="cache")
-    download = transport if transport is not None else _download
-    try:
-        text = download(bfile_url(sequence_id))
-    except FetchError:
-        if cache_file.is_file():
-            bfile = parse_bfile(cache_file.read_text(encoding="utf-8"), sequence_id)
-            return dataclasses.replace(bfile, source="cache")
-        raise
-    bfile = parse_bfile(text, sequence_id)  # validate before caching
-    cache_file.parent.mkdir(parents=True, exist_ok=True)
-    # a unique scratch file: concurrent fetches never share one, and readers
-    # never see a partial cache file
-    fd, scratch = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(scratch, cache_file)
-    except BaseException:
-        os.unlink(scratch)
-        raise
-    return dataclasses.replace(bfile, source="network")
+    cache_file = Path(cache_dir or default_cache_dir()) / f"{sequence_id}.bfile"
+    failure = FetchError(f"no cached b-file at {cache_file}")
+    if source == "network":
+        try:
+            text = (transport or _download)(bfile_url(sequence_id))
+        except FetchError as err:
+            failure = err  # reported only if the cache is cold too
+        else:
+            bfile = parse_bfile(text, sequence_id)  # validate before caching
+            cache_file.parent.mkdir(parents=True, exist_ok=True)
+            # a unique scratch file: concurrent fetches never share one, and
+            # readers never see a partial cache file
+            fd, scratch = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                os.replace(scratch, cache_file)
+            except BaseException:
+                os.unlink(scratch)
+                raise
+            return dataclasses.replace(bfile, source="network")
+    if not cache_file.is_file():
+        raise failure
+    bfile = parse_bfile(cache_file.read_text(encoding="utf-8"), sequence_id)
+    return dataclasses.replace(bfile, source="cache")
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ class SeqCheckReport:
 
 
 def check(sequence_id: str, seq: SequenceId, n_max: int,
-          source: str = "fixture-only", cache_dir: Optional[Path] = None,
+          source: str = "fixture", cache_dir: Optional[Path] = None,
           transport: Optional[Callable[[str], str]] = None) -> SeqCheckReport:
     """Compare our closed form against the OEIS entry for n = 1..n_max.
 
@@ -196,24 +194,17 @@ def check(sequence_id: str, seq: SequenceId, n_max: int,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     bfile = fetch(sequence_id, source=source, cache_dir=cache_dir, transport=transport)
     by_index = dict(bfile.terms)
-    missing = next((n for n in range(1, n_max + 1) if n not in by_index), None)
-    if missing is not None:
-        indices = f"{bfile.terms[0][0]}..{bfile.terms[-1][0]}" if bfile.terms else "none"
-        raise ValueError(
-            f"{sequence_id} b-file lacks terms for n={missing} (has indices {indices})")
-    matches = 0
-    first_mismatch = None
+    matches, first_mismatch = 0, None
     for n in range(1, n_max + 1):
-        reference = by_index[n]
+        reference = by_index.get(n)
+        if reference is None:
+            indices = f"{bfile.terms[0][0]}..{bfile.terms[-1][0]}" if bfile.terms else "none"
+            raise ValueError(
+                f"{sequence_id} b-file lacks terms for n={n} (has indices {indices})")
         computed = evaluate(seq, n)
         if computed == reference:
             matches += 1
         elif first_mismatch is None:
             first_mismatch = (n, reference, computed)
-    return SeqCheckReport(
-        sequence_id=sequence_id,
-        checked_range=(1, n_max),
-        matches=matches,
-        first_mismatch=first_mismatch,
-        source=bfile.source or source,
-    )
+    return SeqCheckReport(sequence_id=sequence_id, checked_range=(1, n_max), matches=matches,
+                          first_mismatch=first_mismatch, source=bfile.source)

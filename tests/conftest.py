@@ -1,4 +1,8 @@
 import random
+import socket
+import threading
+
+import pytest
 
 from latticerect import Axis, CellRegion, CrossingClass, bijections, classify, rectangles
 
@@ -51,3 +55,26 @@ def refuse_type_l_inverse(monkeypatch, from_order: int) -> None:
             return inverse(rect, order)
         return domain, codomain, forward, refusing
     monkeypatch.setitem(bijections._MAPS, "type_l", refusing_sides)
+
+
+@pytest.fixture
+def truncated_oeis_server(monkeypatch):
+    """Point LATTICERECT_OEIS_URL at a loopback server that answers one request
+    with a body 9 bytes long under a ``Content-Length: 100`` header."""
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(10)
+
+    def serve():
+        with server:
+            conn, _ = server.accept()
+            conn.settimeout(10)
+            with conn, conn.makefile("rb") as request:
+                while request.readline().strip():  # read it all: unread bytes reset
+                    pass
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n1 3\n2 16\n")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    monkeypatch.setenv("LATTICERECT_OEIS_URL", f"http://127.0.0.1:{server.getsockname()[1]}")
+    yield
+    thread.join(timeout=10)

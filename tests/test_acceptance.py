@@ -161,7 +161,7 @@ def test_criterion_5_oeis_fixture_terms():
         raise AssertionError(f"network touched: {url}")
 
     for sequence_id, seq in SEQUENCE_FOR_ID.items():
-        report = check(sequence_id, seq, 20, source="fixture-only",
+        report = check(sequence_id, seq, 20, source="fixture",
                        transport=no_network)
         assert report.ok and report.matches == 20, report
     _verdict(5, "A004320, A002417, A330805, A213840 match 20 terms offline")

@@ -11,7 +11,7 @@ import pytest
 from conftest import refuse_type_l_inverse
 import latticerect
 from latticerect import Family, SequenceId, bijections, counting, evaluate
-from latticerect.cli import main
+from latticerect.cli import entry_point, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -413,6 +413,14 @@ def test_oeis_network_failure_exits_4(capsys, tmp_path, monkeypatch):
     assert "download failed" in err
 
 
+def test_oeis_truncated_download_exits_4(capsys, tmp_path, truncated_oeis_server):
+    code, out, err = run(capsys, "oeis", "--ids", "A004320", "--source", "network",
+                         "--cache-dir", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: download failed")
+    assert "Traceback" not in err
+
+
 def test_oeis_unwritable_cache_dir_exits_2(capsys, tmp_path, monkeypatch):
     served = tmp_path / "served" / "A004320"
     served.mkdir(parents=True)
@@ -449,6 +457,14 @@ def test_module_entry_point():
     result = run_python("-m", "latticerect", "count", "aztec:1", "--method", "all")
     assert result.returncode == 0
     assert "aztec:1: 9" in result.stdout
+
+
+@pytest.mark.parametrize("argv,code", [(["oeis", "--terms", "1"], 0), (["count", "aztec:0"], 2)])
+def test_console_script_entry_point(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["latticerect", *argv])
+    with pytest.raises(SystemExit) as exited:
+        entry_point()
+    assert exited.value.code == code
 
 
 def test_usage_error_exit_code():

@@ -40,6 +40,10 @@ def test_parse_accepts_negative_values_and_extra_spaces():
     ("1 2\noops\n", "line 2"),
     ("2 5\n1 3\n", "does not increase"),
     ("1 1\n1 2\n", "does not increase"),
+    ("1_0 5\n", "line 1"),
+    ("+1 3\n", "line 1"),
+    ("\u0663 7\n", "line 1"),
+    ("1 \uff15\n", "line 1"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(BFileError, match=fragment):
@@ -53,7 +57,7 @@ def test_parse_rejects_bad_sequence_id():
 
 def test_format_parse_roundtrip_on_fixtures():
     for sequence_id in ALL_IDS:
-        bfile = fetch(sequence_id, source="fixture-only")
+        bfile = fetch(sequence_id, source="fixture")
         again = parse_bfile(format_bfile(bfile), sequence_id)
         assert again == BFile(sequence_id, bfile.terms)
 
@@ -61,7 +65,7 @@ def test_format_parse_roundtrip_on_fixtures():
 # --- fetch policies -------------------------------------------------------------
 
 def test_fixture_fetch():
-    bfile = fetch("A004320", source="fixture-only")
+    bfile = fetch("A004320", source="fixture")
     assert bfile.terms[0] == (1, 3)
     assert bfile.terms[1] == (2, 16)
     assert len(bfile.terms) == 20
@@ -69,25 +73,32 @@ def test_fixture_fetch():
 
 
 def test_fixture_fetch_never_uses_network():
-    bfile = fetch("A002417", source="fixture-only", transport=exploding_transport)
+    bfile = fetch("A002417", source="fixture", transport=exploding_transport)
     assert bfile.terms[0] == (1, 1)
 
 
 def test_fixture_missing():
     with pytest.raises(FetchError):
-        fetch("A000000", source="fixture-only")
+        fetch("A000000", source="fixture")
 
 
 def test_bad_id_rejected():
     with pytest.raises(ValueError):
-        fetch("banana", source="fixture-only")
+        fetch("banana", source="fixture")
     with pytest.raises(ValueError):
-        fetch("A00432", source="fixture-only")
+        fetch("A00432", source="fixture")
 
 
 def test_bad_source_rejected():
     with pytest.raises(ValueError):
         fetch("A004320", source="telepathy")
+
+
+@pytest.mark.parametrize("source", ["fixture-only", "cache-only", "network-then-cache"])
+def test_sources_have_one_spelling(source, tmp_path):
+    assert oeis.SOURCES == ("fixture", "cache", "network")
+    with pytest.raises(ValueError, match="unknown source"):
+        fetch("A004320", source=source, cache_dir=tmp_path, transport=exploding_transport)
 
 
 def test_network_fetch_writes_cache(tmp_path):
@@ -98,7 +109,7 @@ def test_network_fetch_writes_cache(tmp_path):
         seen.append(url)
         return served
 
-    bfile = fetch("A004320", source="network-then-cache",
+    bfile = fetch("A004320", source="network",
                   cache_dir=tmp_path, transport=transport)
     assert bfile.source == "network"
     assert bfile.terms == ((1, 3), (2, 16), (3, 50))
@@ -118,7 +129,7 @@ def test_concurrent_fetches_leave_one_valid_cache_file(tmp_path):
 
     def worker():
         try:
-            results.append(fetch("A004320", source="network-then-cache",
+            results.append(fetch("A004320", source="network",
                                  cache_dir=tmp_path, transport=transport))
         except Exception as err:  # reported below; a thread would swallow it
             errors.append(err)
@@ -141,37 +152,44 @@ def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(oeis.os, "replace", broken_replace)
     with pytest.raises(OSError):
-        fetch("A004320", source="network-then-cache",
+        fetch("A004320", source="network",
               cache_dir=tmp_path, transport=lambda url: "1 3\n")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_network_failure_falls_back_to_cache(tmp_path):
     (tmp_path / "A004320.bfile").write_text("1 3\n2 16\n")
-    bfile = fetch("A004320", source="network-then-cache",
+    bfile = fetch("A004320", source="network",
                   cache_dir=tmp_path, transport=failing_transport)
     assert bfile.source == "cache"
     assert bfile.terms == ((1, 3), (2, 16))
 
 
+def test_truncated_download_falls_back_to_cache(tmp_path, truncated_oeis_server):
+    (tmp_path / "A004320.bfile").write_text("1 3\n2 16\n3 50\n")
+    bfile = fetch("A004320", source="network", cache_dir=tmp_path)
+    assert bfile.source == "cache"
+    assert bfile.terms == ((1, 3), (2, 16), (3, 50))
+
+
 def test_network_failure_without_cache(tmp_path):
     with pytest.raises(FetchError):
-        fetch("A004320", source="network-then-cache",
+        fetch("A004320", source="network",
               cache_dir=tmp_path, transport=failing_transport)
 
 
 def test_cache_only(tmp_path):
     with pytest.raises(FetchError):
-        fetch("A004320", source="cache-only", cache_dir=tmp_path)
+        fetch("A004320", source="cache", cache_dir=tmp_path)
     (tmp_path / "A004320.bfile").write_text("1 3\n")
-    bfile = fetch("A004320", source="cache-only", cache_dir=tmp_path,
+    bfile = fetch("A004320", source="cache", cache_dir=tmp_path,
                   transport=exploding_transport)
     assert bfile.source == "cache"
 
 
 def test_malformed_download_is_not_cached(tmp_path):
     with pytest.raises(BFileError):
-        fetch("A004320", source="network-then-cache",
+        fetch("A004320", source="network",
               cache_dir=tmp_path, transport=lambda url: "not a bfile")
     assert not (tmp_path / "A004320.bfile").exists()
 
@@ -180,7 +198,7 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("LATTICERECT_OEIS_CACHE", str(tmp_path))
     assert default_cache_dir() == tmp_path
     (tmp_path / "A213840.bfile").write_text("1 1\n")
-    assert fetch("A213840", source="cache-only").terms == ((1, 1),)
+    assert fetch("A213840", source="cache").terms == ((1, 1),)
 
 
 def test_url_env_override(monkeypatch):
@@ -226,7 +244,15 @@ def test_check_huge_range_stops_at_first_missing_term():
 def test_check_bfile_without_terms(tmp_path):
     (tmp_path / "A004320.bfile").write_text("# comments only\n")
     with pytest.raises(ValueError, match=r"lacks terms for n=1 \(has indices none\)"):
-        check("A004320", SequenceId.AZTEC_HALF, 5, source="cache-only", cache_dir=tmp_path)
+        check("A004320", SequenceId.AZTEC_HALF, 5, source="cache", cache_dir=tmp_path)
+
+
+def test_check_missing_term_wins_over_earlier_mismatch(tmp_path):
+    lines = [f"{n} {evaluate(SequenceId.AZTEC_HALF, n)}" for n in range(1, 5)]
+    lines[2] = "3 999"  # a wrong n=3 term, and no n=5 term at all
+    (tmp_path / "A004320.bfile").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"lacks terms for n=5 \(has indices 1\.\.4\)"):
+        check("A004320", SequenceId.AZTEC_HALF, 5, source="cache", cache_dir=tmp_path)
 
 
 def test_check_reports_mismatch(tmp_path):
@@ -234,7 +260,7 @@ def test_check_reports_mismatch(tmp_path):
     lines[6] = "7 999"  # corrupt the n=7 term
     (tmp_path / "A004320.bfile").write_text("\n".join(lines) + "\n")
     report = check("A004320", SequenceId.AZTEC_HALF, 20,
-                   source="cache-only", cache_dir=tmp_path)
+                   source="cache", cache_dir=tmp_path)
     assert not report.ok
     assert report.matches == 19
     assert report.first_mismatch == (7, 999, 756)
@@ -245,5 +271,5 @@ def test_check_honors_bfile_offset_column(tmp_path):
     lines = ["0 0"] + [f"{n} {evaluate(SequenceId.BISCUIT, n)}" for n in range(1, 11)]
     (tmp_path / "A213840.bfile").write_text("\n".join(lines) + "\n")
     report = check("A213840", SequenceId.BISCUIT, 10,
-                   source="cache-only", cache_dir=tmp_path)
+                   source="cache", cache_dir=tmp_path)
     assert report.ok and report.matches == 10
