@@ -8,8 +8,9 @@ below-left of its true center), at the origin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import index
 from typing import Iterable, Iterator, Optional, Union
 
 
@@ -58,6 +59,12 @@ class Axis:
 
     x0: int
     half: bool = False
+
+    def __post_init__(self):
+        try:
+            index(self.x0)
+        except TypeError:
+            raise ShapeError(f"axis position must be an integer, got {self.x0!r}") from None
 
     @property
     def double_x(self) -> int:
@@ -110,11 +117,14 @@ class CellRegion:
     origin: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def __post_init__(self):
-        if not self.spans and self.row0 != 0:
-            object.__setattr__(self, "row0", 0)
-        for k, (lo, hi) in enumerate(self.spans):
-            if lo >= hi:
-                raise ShapeError(f"empty interval [{lo},{hi}) in row {self.row0 + k}")
+        try:
+            if index(self.row0) and not self.spans:
+                object.__setattr__(self, "row0", 0)
+            for k, (lo, hi) in enumerate(self.spans):
+                if index(lo) >= index(hi):
+                    raise ShapeError(f"empty interval [{lo},{hi}) in row {self.row0 + k}")
+        except TypeError:
+            raise ShapeError("row0 and span bounds must be integers") from None
 
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[int, int]],
@@ -343,14 +353,15 @@ _PIECES: dict[Union[Family, Variant], tuple[Family, int, int, int]] = {
 }
 
 
-def _whole(family: Family, n: int, origin: tuple[int, int]) -> CellRegion:
-    """The order-n Aztec diamond or biscuit (n >= 0), center or quasi-center at origin."""
+def _whole(family: Family, n: int, origin: tuple[int, int], rows: int = 0) -> CellRegion:
+    """Order-n (n >= 0) aztec or biscuit, (quasi-)center at origin; rows cut as in ``_PIECES``."""
     x, y = origin
-    if family is Family.AZTEC:
-        top = [(x + j - n, x + n - j) for j in range(n)]
-        return CellRegion(y - n, tuple(top[::-1] + top), origin)
-    top = [(x + j - n + 1, x + n - j) for j in range(n)]
-    return CellRegion(y + 1 - n, tuple(top[:0:-1] + top), origin)
+    b = 1 if family is Family.BISCUIT else 0  # a biscuit's row y is its own mirror
+    top = [(x + j - n + b, x + n - j) for j in range(n)]
+    if rows > 0:
+        return CellRegion(y, tuple(top), origin)
+    bottom = top[b:][::-1]
+    return CellRegion(y - len(bottom), tuple(bottom if rows else bottom + top), origin)
 
 
 def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:
@@ -369,18 +380,16 @@ def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:
       columns < 0 or columns >= 0, kept in place.
     * biscuit-half larger: the biscuit's rows >= 0, which keep the widest
       row; smaller: biscuit-half larger of order n-1.
-    * staircase: a quadrant of the order-n aztec, moved into the box
-      [0, n] x [0, n]: dl keeps columns and rows >= 0, so row j spans
-      [0, n-j); ul, ur and dr are its reflections within the box.
+    * staircase: the aztec's quadrant with its right angle at the center, which
+      sits on that corner of the box [0, n] x [0, n]: dl keeps columns and rows
+      >= 0, so row j spans [0, n-j); ul, ur and dr are its reflections.
     """
     whole, dn, cols, rows = _PIECES[spec.variant or spec.family]
     n = spec.n + dn
-    region = _cut(_whole(whole, n, offset), cols, rows)
-    if isinstance(spec.variant, Corner):  # move the quadrant into [0, n] x [0, n]
-        dx = n if cols < 0 else 0
-        region = CellRegion(region.row0 + (n if rows < 0 else 0),
-                            tuple((lo + dx, hi + dx) for lo, hi in region.spans), offset)
-    return region
+    if not isinstance(spec.variant, Corner):
+        return _cut(_whole(whole, n, offset, rows), cols)
+    corner = (offset[0] + (n if cols < 0 else 0), offset[1] + (n if rows < 0 else 0))
+    return replace(_cut(_whole(whole, n, corner, rows), cols), origin=offset)
 
 
 def vertical_axis(spec: ShapeSpec) -> Axis:
@@ -396,26 +405,18 @@ def vertical_axis(spec: ShapeSpec) -> Axis:
     return Axis(0, half=whole is Family.BISCUIT)
 
 
-def _cut(region: CellRegion, cols: int, rows: int) -> CellRegion:
-    """Keep the cells on one side of the lattice lines x = p and y = q through
-    the region's origin (p, q): +1 keeps indices >= the line, -1 those below."""
-    if not (cols or rows):
+def _cut(region: CellRegion, cols: int) -> CellRegion:
+    """Cut the region's columns at its origin as in ``_PIECES``."""
+    if not cols:
         return region
-    p, q = region.origin
-    row0, spans = region.row0, region.spans
-    if rows:
-        k = min(max(q - row0, 0), len(spans))
-        row0, spans = (row0 + k, spans[k:]) if rows > 0 else (row0, spans[:k])
-    if cols:
-        spans = ([(max(lo, p), hi) for lo, hi in spans] if cols > 0
-                 else [(lo, min(hi, p)) for lo, hi in spans])
-        kept = [k for k, (lo, hi) in enumerate(spans) if lo < hi]
-        if not kept:
-            return CellRegion(0, (), region.origin)
-        if kept[-1] - kept[0] >= len(kept):
-            raise ShapeError("clip produced a region with a gap between rows")
-        row0, spans = row0 + kept[0], tuple(spans[kept[0]:kept[-1] + 1])
-    return CellRegion(row0, spans, region.origin)
+    p = region.origin[0]
+    spans = ([(max(lo, p), hi) for lo, hi in region.spans] if cols > 0
+             else [(lo, min(hi, p)) for lo, hi in region.spans])
+    kept = [k for k, (lo, hi) in enumerate(spans) if lo < hi]
+    if kept and kept[-1] - kept[0] >= len(kept):
+        raise ShapeError("clip produced a region with a gap between rows")
+    first = kept[0] if kept else 0
+    return CellRegion(region.row0 + first, tuple(spans[first:first + len(kept)]), region.origin)
 
 
 def split_half(region: CellRegion, spec: ShapeSpec) -> tuple[CellRegion, CellRegion, Axis]:
@@ -431,8 +432,7 @@ def split_half(region: CellRegion, spec: ShapeSpec) -> tuple[CellRegion, CellReg
     """
     if spec.family not in (Family.AZTEC, Family.BISCUIT):
         raise ShapeError(f"split_half applies to aztec or biscuit, not {spec}")
-    axis = Axis(region.origin[0], vertical_axis(spec).half)
-    return _cut(region, -1, 0), _cut(region, 1, 0), axis
+    return _cut(region, -1), _cut(region, 1), Axis(region.origin[0], vertical_axis(spec).half)
 
 
 def split_staircases(spec: ShapeSpec) -> list[tuple[ShapeSpec, CellRegion]]:
@@ -449,8 +449,7 @@ def split_staircases(spec: ShapeSpec) -> list[tuple[ShapeSpec, CellRegion]]:
         raise ShapeError(f"split_staircases applies to aztec or biscuit, not {spec}")
     if spec.family is Family.BISCUIT and spec.n < 2:
         raise ShapeError("a biscuit of order 1 has no four-staircase decomposition")
-    region = build(spec)
-    quads = ((corner, _cut(region, cols, rows))
+    quads = ((corner, _cut(_whole(spec.family, spec.n, (0, 0), rows), cols))
              for corner, (_, _, cols, rows) in _PIECES.items() if isinstance(corner, Corner))
     return [(staircase(q.height, corner), q) for corner, q in quads]
 

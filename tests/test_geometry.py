@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latticerect import (Axis, CellRegion, Corner, Dihedral, Family,
@@ -8,6 +9,7 @@ from latticerect import (Axis, CellRegion, Corner, Dihedral, Family,
                          aztec_half, biscuit, biscuit_half, build,
                          parse_shape_spec, split_half, split_staircases,
                          staircase, transform, vertical_axis)
+from latticerect import count_fast, count_naive
 
 ALL_FAMILY_SPECS = [aztec, biscuit, staircase, aztec_half, biscuit_half]
 VARIANTS = {v.value: v for kind in (Corner, Side, Part) for v in kind}
@@ -114,6 +116,30 @@ def test_build_placements_match_golden():
         assert region.origin == tuple(entry["origin"]), entry
 
 
+# --- integer coordinates ----------------------------------------------------
+
+@pytest.mark.parametrize("row0,spans", [
+    (0, ((0.5, 2.5),)),  # both counters would count it as [0, 2)
+    (0, (("0", "2"),)),  # numpy would parse the strings
+    (0.0, ((0, 2),)),
+    (0.5, ()),
+])
+def test_region_refuses_non_integer_coordinates(row0, spans):
+    with pytest.raises(ShapeError, match="must be integers"):
+        CellRegion(row0, spans)
+
+
+def test_axis_refuses_a_non_integer_position():
+    with pytest.raises(ShapeError, match="must be an integer"):
+        Axis(0.3)
+
+
+def test_numpy_integers_are_coordinates():
+    region = CellRegion(np.int64(-2), ((np.int32(0), np.int64(2)), (np.int64(1), 3)))
+    assert count_fast(region) == count_naive(region) == 7
+    assert Axis(np.int64(1), half=True).double_x == 3
+
+
 # --- bounding boxes and containment ---------------------------------------
 
 @pytest.mark.parametrize("spec,box", [
@@ -185,6 +211,24 @@ def test_split_half_partitions(make):
         cells = set(left.cells())
         assert not cells & set(right.cells())
         assert cells | set(right.cells()) == set(region.cells())
+
+
+def test_split_half_refuses_a_cut_that_leaves_a_gap_between_rows():
+    region = CellRegion(0, ((0, 3), (5, 8), (0, 8)), origin=(4, 0))
+    with pytest.raises(ShapeError, match="gap between rows"):
+        split_half(region, aztec(3))
+
+
+def test_split_half_of_the_empty_region():
+    left, right, _ = split_half(CellRegion(0, ()), biscuit(2))
+    assert left.is_empty and right.is_empty
+
+
+def test_split_half_with_every_row_right_of_the_cut():
+    region = CellRegion(-4, ((2, 5), (3, 6)), origin=(1, -3))
+    left, right, _ = split_half(region, aztec(3))
+    assert left.is_empty and left.origin == (1, -3)
+    assert right == region and right.origin == (1, -3)
 
 
 def test_split_half_rejects_other_families():

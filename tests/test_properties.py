@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import classify_tally, count_by_column_pairs
 from latticerect import counting
-from latticerect import (Axis, BFile, CellRegion, CrossingClass, Dihedral,
-                         Family, LatticeRect, ShapeSpec, anchor_centered,
-                         classify, count_breakdown, count_fast, count_naive,
+from latticerect import (Axis, BFile, CellRegion, Corner, CrossingClass, Dihedral,
+                         Family, LatticeRect, Part, ShapeSpec, Side, anchor_centered,
+                         build, classify, count_breakdown, count_fast, count_naive,
                          expand_to_aztec_half, fold_left_heavy, format_bfile,
                          parse_bfile, parse_shape_spec, quadruple_to_staircase,
                          rectangles, shrink_to_biscuit_half,
@@ -165,6 +165,57 @@ def shape_specs(draw):
 @given(shape_specs())
 def test_shape_spec_text_roundtrip(spec):
     assert parse_shape_spec(str(spec)) == spec
+
+
+# Each canonical shape's cells (i, j) at order n, as inequalities that share
+# nothing with geometry's construction.
+def in_aztec(n, i, j):
+    return abs(2 * i + 1) + abs(2 * j + 1) <= 2 * n
+
+
+def in_biscuit(n, i, j):
+    return abs(i) + abs(j) <= n - 1
+
+
+def in_dl_staircase(n, i, j):
+    return i >= 0 and j >= 0 and i + j <= n - 1
+
+
+IN_SHAPE = {
+    Family.AZTEC: in_aztec,
+    Family.BISCUIT: in_biscuit,
+    Side.TOP: lambda n, i, j: in_aztec(n, i, j) and j >= 0,
+    Side.BOTTOM: lambda n, i, j: in_aztec(n, i, j) and j < 0,
+    Side.LEFT: lambda n, i, j: in_aztec(n, i, j) and i < 0,
+    Side.RIGHT: lambda n, i, j: in_aztec(n, i, j) and i >= 0,
+    Part.LARGER: lambda n, i, j: in_biscuit(n, i, j) and j >= 0,
+    Part.SMALLER: lambda n, i, j: in_biscuit(n - 1, i, j) and j >= 0,
+    Corner.DL: in_dl_staircase,  # the others are its reflections in [0, n]^2
+    Corner.DR: lambda n, i, j: in_dl_staircase(n, n - 1 - i, j),
+    Corner.UL: lambda n, i, j: in_dl_staircase(n, i, n - 1 - j),
+    Corner.UR: lambda n, i, j: in_dl_staircase(n, n - 1 - i, n - 1 - j),
+}
+
+
+@st.composite
+def built_shapes(draw, max_n=80):
+    family = draw(st.sampled_from(Family))
+    default = ShapeSpec(family, 1).variant
+    variant = None if default is None else draw(st.sampled_from(type(default)))
+    n = draw(st.integers(0 if family is Family.STAIRCASE else 1, max_n))
+    offset = (draw(st.integers(-10**30, 10**30)), draw(st.integers(-10**30, 10**30)))
+    return ShapeSpec(family, n, variant), offset
+
+
+@settings(deadline=None)
+@given(built_shapes())
+def test_build_gives_the_cells_of_the_inequalities(case):
+    spec, (x, y) = case
+    region = build(spec, (x, y))
+    inside, box = IN_SHAPE[spec.variant or spec.family], range(-spec.n - 1, spec.n + 2)
+    assert {(i - x, j - y) for i, j in region.cells()} == {
+        (i, j) for i in box for j in box if inside(spec.n, i, j)}
+    assert region.origin == (x, y)
 
 
 @given(st.dictionaries(st.integers(-10**6, 10**30), st.integers(-10**40, 10**40)))
