@@ -10,6 +10,7 @@ walk, a band height per numpy step, which ``count_breakdown`` also uses, and
 the rest by a divide and conquer over rows, a level per numpy step, O(H log H)
 in all.  ``rectangles`` lists the bands' rectangles at the cost of its output.
 Closed forms, the third way, live in :mod:`latticerect.formulas`.
+numpy is imported by the functions that use it, so only these counts load it.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ from enum import Enum
 from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
-
-import numpy as np
 
 from . import formulas
 from .geometry import (Axis, CellRegion, Family, LatticeRect, Part, ShapeSpec,
@@ -66,6 +65,7 @@ def count_naive(region: CellRegion) -> int:
     from rows c..c+k-1 left of column i, so those rows hold columns a..b-1
     exactly when S[c, a] == S[c, b]; every pair of a row of S is compared.
     """
+    import numpy as np
     if region.is_empty:
         return 0
     box = region.bounding_box()
@@ -107,6 +107,7 @@ _LEAF_ROWS = 32
 def _box_spans(region: CellRegion, bound: Callable[[int, int], int]) -> np.ndarray:
     """The rows' ``[lo, hi)`` as an (H, 2) array shifted so the box starts at 0;
     int64 while ``bound(W, H)`` fits it, else Python ints."""
+    import numpy as np
     try:
         spans = np.fromiter(chain.from_iterable(region.spans), np.int64).reshape(-1, 2)
     except OverflowError:  # far from the origin: shift in Python, then as near it
@@ -125,6 +126,7 @@ def _bands(spans: np.ndarray, leaf: int = 0) -> Iterator[tuple[np.ndarray, np.nd
     so is every taller band on their bottom row.  The row above the last, and
     with ``leaf`` the first of each aligned block of ``leaf`` rows, ends them.
     """
+    import numpy as np
     lo, hi = np.append(spans, [[0, 0]], axis=0).T
     if leaf:
         hi[leaf::leaf] = 0
@@ -150,6 +152,7 @@ def _crossing_bands(spans: np.ndarray) -> int:
     let one searchsorted serve all blocks.  ``reach`` bounds all band heights
     once no band at a level fills a half block.
     """
+    import numpy as np
     total, s, height, reach = 0, _LEAF_ROWS, len(spans), len(spans)
     while s < height:
         r, blocks, pad = min(s, reach), -(-height // (2 * s)), -height % (2 * s)
@@ -212,6 +215,7 @@ def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
     one of its q lines right of it.  The i-th and j-th lines out from the axis
     are equally far when i = j: centered, left- and right-heavy are i =, >, < j.
     """
+    import numpy as np
     tally = dict.fromkeys(CrossingClass, 0)
     if not region.is_empty:
         box = region.bounding_box()

@@ -261,6 +261,12 @@ class ShapeSpec:
             raise ShapeError(
                 f"{self.family.value} variant must be a {type(default).__name__}, "
                 f"got {self.variant!r}")
+        try:
+            if isinstance(self.n, bool):
+                raise TypeError
+            object.__setattr__(self, "n", index(self.n))
+        except TypeError:
+            raise ShapeError(f"{self.family.value} order must be an integer, got {self.n!r}") from None
         min_n = 0 if self.family is Family.STAIRCASE else 1
         if self.n < min_n:
             raise ShapeError(f"{self.family.value} order must be >= {min_n}, got {self.n}")

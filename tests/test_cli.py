@@ -476,3 +476,16 @@ def test_cli_import_leaves_urllib_request_unloaded():
     result = run_python("-c", "import sys, latticerect.cli; "
                         "print('urllib.request' in sys.modules)")
     assert (result.returncode, result.stdout) == (0, "False\n")
+
+
+def test_only_region_counts_load_numpy():
+    # numpy is most of a cold start; bijections, oeis, render and formula counts skip it
+    result = run_python("-c", "import contextlib, io, sys, latticerect, latticerect.cli as cli\n"
+                        "with contextlib.redirect_stdout(io.StringIO()):\n"
+                        "    codes = [cli.main(argv.split()) for argv in (\n"
+                        "        'bijections --max-n 3', 'oeis --terms 3',\n"
+                        "        'render aztec:2 --format svg', 'count aztec:3 --method formula')]\n"
+                        "    before = 'numpy' in sys.modules\n"
+                        "    codes.append(cli.main(['count', 'aztec:3']))\n"
+                        "print(codes, before, 'numpy' in sys.modules)")
+    assert (result.returncode, result.stdout) == (0, "[0, 0, 0, 0, 0] False True\n")

@@ -374,6 +374,20 @@ def test_shape_spec_rejects_bad_variants():
         ShapeSpec(Family.STAIRCASE, -1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None])
+def test_shape_spec_refuses_a_non_integer_order(n):
+    # operator.index takes a bool as 0 or 1; 2.5 would reach range() in build
+    with pytest.raises(ShapeError, match="aztec order must be an integer"):
+        ShapeSpec(Family.AZTEC, n)
+
+
+def test_shape_spec_stores_a_numpy_order_as_int():
+    spec = ShapeSpec(Family.STAIRCASE, np.int64(3), Corner.UL)
+    assert type(spec.n) is int and str(spec) == "staircase:3:ul"
+    assert spec == ShapeSpec(Family.STAIRCASE, 3, Corner.UL)
+    assert count_fast(build(spec)) == 15
+
+
 def test_parse_examples():
     assert parse_shape_spec("aztec:5") == aztec(5)
     assert parse_shape_spec("staircase:3:ul") == staircase(3, Corner.UL)
