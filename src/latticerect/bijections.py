@@ -12,9 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
-from .counting import CrossingClass, classify, rectangles
+from .counting import CrossingClass, _row_bands, classify, rectangles
 from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, aztec_half, biscuit_half,
                        build, staircase, vertical_axis)
 
@@ -41,11 +42,19 @@ def _require(rect: LatticeRect, shape: Callable[[int], ShapeSpec], n: int,
         raise ValueError(f"{rect} is {cls.name} about {axis}")
 
 
+def _crossing_rects(region: CellRegion, axis: Axis, classes: tuple) -> list[LatticeRect]:
+    """The rectangles of the region in crossing classes about the axis, in rectangles() order."""
+    last, first = (axis.double_x - 1) // 2, axis.double_x // 2 + 1  # lines left, right of it
+    return [rect for c, d, lo, hi in _row_bands(region)  # only a <= last, b >= first cross
+            for a in range(lo, min(hi, last + 1)) for b in range(max(lo, first), hi + 1)
+            if classify(rect := LatticeRect(a, b, c, d), axis) in classes]
+
+
 def _rects(shape: Callable[[int], ShapeSpec], n: int, axis: Optional[Axis] = None,
            classes: tuple = _CROSSING) -> list[LatticeRect]:
     """The rectangles that _require accepts, in rectangles() order."""
-    return [r for r in rectangles(_built(shape, n))
-            if axis is None or classify(r, axis) in classes]
+    region = _built(shape, n)
+    return list(rectangles(region)) if axis is None else _crossing_rects(region, axis, classes)
 
 
 @dataclass(frozen=True)
@@ -184,8 +193,9 @@ def verify_bijection(name: str, n: int) -> BijectionReport:
     """
     if name not in _MAPS:
         raise ValueError(f"unknown bijection {name!r}; known: {', '.join(_MAPS)}")
-    if not 1 <= n <= MAX_VERIFY_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_VERIFY_ORDER}, got {n}")
+    if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= MAX_VERIFY_ORDER:
+        raise ValueError(f"order must be an integer in 1..{MAX_VERIFY_ORDER}, got {n!r}")
+    n = int(n)  # a numpy order reports as an int
     domain, codomain, forward, inverse = _MAPS[name](n)
     images = set()
     counterexample = None  # the first in domain order

@@ -129,8 +129,9 @@ def cmd_verify(args) -> tuple[dict, str, int]:
     def check(seq):
         family = Family[seq.name]
         for n in range(1, args.max_n + 1):
-            spec = ShapeSpec(family, n)
-            counts = {m: counting.count_family(spec, m) for m in counting.COUNT_METHODS}
+            region = build(spec := ShapeSpec(family, n))
+            counts = {m: count(region) for m, count in counting.REGION_COUNTERS.items()}
+            counts["formula"] = counting.count_family(spec, "formula")
             if len(set(counts.values())) != 1:
                 shown = " ".join(f"{m}={v}" for m, v in counts.items())
                 return ({"ok": False, "counterexample": {"n": n, **counts}},

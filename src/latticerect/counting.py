@@ -83,19 +83,21 @@ def count_naive(region: CellRegion) -> int:
     return pairs // 2
 
 
-def rectangles(region: CellRegion) -> Iterator[LatticeRect]:
-    """All rectangles in the region, band by band in (c, d, a, b) order; costs the output."""
+def _row_bands(region: CellRegion) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (c, d, lo, hi) for each non-empty band: rows c..d-1 hold columns [lo, hi)."""
     spans = region.spans
     for k, (lo, hi) in enumerate(spans):
-        c = region.row0 + k
         for top in range(k, len(spans)):
             lo, hi = max(lo, spans[top][0]), min(hi, spans[top][1])
             if lo >= hi:
-                break  # every taller band on bottom row c is empty too
-            d = region.row0 + top + 1
-            for a in range(lo, hi):
-                for b in range(a + 1, hi + 1):
-                    yield LatticeRect(a, b, c, d)
+                break  # every taller band on bottom row k is empty too
+            yield region.row0 + k, region.row0 + top + 1, lo, hi
+
+
+def rectangles(region: CellRegion) -> Iterator[LatticeRect]:
+    """All rectangles in the region, band by band in (c, d, a, b) order; costs the output."""
+    return (LatticeRect(a, b, c, d) for c, d, lo, hi in _row_bands(region)
+            for a in range(lo, hi) for b in range(a + 1, hi + 1))
 
 
 #: Name of the count_fast implementation, reported by the CLI.

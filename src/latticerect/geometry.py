@@ -188,9 +188,11 @@ class CellRegion:
 
     def contains_rect(self, rect: LatticeRect) -> bool:
         """True iff every cell of rect lies in the region."""
-        for j in range(rect.c, rect.d):
-            span = self.row_span(j)
-            if span is None or rect.a < span[0] or rect.b > span[1]:
+        c, d, a, b = rect.c - self.row0, rect.d - self.row0, rect.a, rect.b
+        if c < 0 or d > len(self.spans):
+            return False
+        for lo, hi in self.spans[c:d]:
+            if a < lo or b > hi:
                 return False
         return True
 

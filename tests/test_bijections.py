@@ -177,6 +177,25 @@ def test_verify_bijection_guards():
         verify_bijection("quadruple", MAX_VERIFY_ORDER + 1)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, 2.5])
+def test_verify_bijection_refuses_a_non_integer_order_before_building(monkeypatch, n):
+    built = []
+    monkeypatch.setattr(bijections, "build", lambda spec: built.append(spec) or build(spec))
+    bijections._built.cache_clear()
+    message = rf"^order must be an integer in 1\.\.{MAX_VERIFY_ORDER}, got "
+    with pytest.raises(ValueError, match=message) as err:
+        verify_bijection("quadruple", n)
+    assert type(err.value) is ValueError  # its own check, not ShapeSpec's ShapeError
+    assert built == []
+
+
+def test_verify_bijection_reports_a_numpy_order_as_int():
+    np = pytest.importorskip("numpy")
+    report = verify_bijection("quadruple", np.int64(3))
+    assert type(report.order) is int and report.order == 3
+    assert report.verified
+
+
 @pytest.mark.parametrize("name", BIJECTION_NAMES)
 def test_verify_bijection_builds_each_shape_once(monkeypatch, name):
     built, made = [], []

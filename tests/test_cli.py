@@ -10,7 +10,7 @@ import pytest
 
 from conftest import refuse_type_l_inverse
 import latticerect
-from latticerect import Family, SequenceId, bijections, counting, evaluate
+from latticerect import Family, SequenceId, bijections, cli, counting, evaluate
 from latticerect.cli import entry_point, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -257,6 +257,16 @@ def test_verify_mismatch_reports_every_family_and_exits_3(capsys, monkeypatch):
                   {"n": 4, "naive": 170, "fast": 171, "formula": 170}},
         },
     }
+
+
+def test_verify_builds_each_shape_once(capsys, monkeypatch):
+    built = []
+    for module in (cli, counting):
+        monkeypatch.setattr(module, "build", lambda spec, _build=module.build:
+                            built.append(spec) or _build(spec))
+    code, out, _ = run(capsys, "verify", "--max-n", "3")
+    assert code == 0, out
+    assert len(built) == len(set(built)) == 3 * len(SequenceId), built
 
 
 def test_verify_unknown_family(capsys):

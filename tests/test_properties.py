@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classify_tally, count_by_column_pairs
-from latticerect import counting
+from latticerect import bijections, counting
 from latticerect import (Axis, BFile, CellRegion, Corner, CrossingClass, Dihedral,
                          Family, LatticeRect, Part, ShapeSpec, Side, anchor_centered,
                          build, classify, count_breakdown, count_fast, count_naive,
@@ -152,6 +152,33 @@ def regions_and_axes(draw):
 def test_breakdown_equals_the_classify_tally(case):
     region, axis = case
     assert dict(count_breakdown(region, axis).by_class) == classify_tally(region, axis)
+
+
+@settings(deadline=None)
+@given(regions_and_axes(), st.sets(st.sampled_from(bijections._CROSSING)))
+def test_crossing_rects_are_the_classified_rectangles_in_order(case, classes):
+    region, axis = case
+    classes = tuple(classes)
+    assert bijections._crossing_rects(region, axis, classes) == [
+        r for r in rectangles(region) if classify(r, axis) in classes]
+
+
+@st.composite
+def regions_and_rects(draw):
+    """A region, maybe empty, and a rectangle that may start below its first row,
+    end above its top row or stick out on either side."""
+    region = draw(st.just(CellRegion(0, ())) | row_convex_regions())
+    x, y = (0, 0) if region.is_empty else (region.bounding_box().a, region.row0)
+    a, b = sorted(draw(st.lists(st.integers(x - 2, x + 14), min_size=2, max_size=2, unique=True)))
+    c, d = sorted(draw(st.lists(st.integers(y - 2, y + 10), min_size=2, max_size=2, unique=True)))
+    return region, LatticeRect(a, b, c, d)
+
+
+@settings(deadline=None)
+@given(regions_and_rects())
+def test_contains_rect_equals_containing_every_cell(case):
+    region, rect = case
+    assert region.contains_rect(rect) == all(cell in region for cell in rect.cells())
 
 
 @st.composite
