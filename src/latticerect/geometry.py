@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import index
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 
 class ShapeError(ValueError):
@@ -28,8 +28,15 @@ class LatticeRect:
     d: int
 
     def __post_init__(self):
+        if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is int:
+            try:  # numpy integers pass; a bool, which index() takes as 0 or 1, does not
+                if bool in (type(self.a), type(self.b), type(self.c), type(self.d)):
+                    raise TypeError
+                index(self.a), index(self.b), index(self.c), index(self.d)
+            except TypeError:
+                raise ShapeError(f"rectangle coordinates must be integers, got {self}") from None
         if not (self.a < self.b and self.c < self.d):
-            raise ShapeError(f"degenerate rectangle [{self.a},{self.b}]x[{self.c},{self.d}]")
+            raise ShapeError(f"degenerate rectangle {self}")
 
     @property
     def width(self) -> int:
@@ -38,11 +45,6 @@ class LatticeRect:
     @property
     def height(self) -> int:
         return self.d - self.c
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for j in range(self.c, self.d):
-            for i in range(self.a, self.b):
-                yield (i, j)
 
     def __str__(self) -> str:
         return f"[{self.a},{self.b}]x[{self.c},{self.d}]"
@@ -62,6 +64,8 @@ class Axis:
 
     def __post_init__(self):
         try:
+            if isinstance(self.x0, bool):
+                raise TypeError
             index(self.x0)
         except TypeError:
             raise ShapeError(f"axis position must be an integer, got {self.x0!r}") from None
@@ -73,33 +77,6 @@ class Axis:
 
     def __str__(self) -> str:
         return f"x={self.x0}.5" if self.half else f"x={self.x0}"
-
-
-class Dihedral(Enum):
-    """The eight symmetries of the square lattice fixing the origin.
-
-    Values are row-major 2x2 matrices acting on points as
-    (x, y) -> (a*x + b*y, c*x + d*y).  Rotations are counterclockwise.
-    """
-
-    IDENTITY = (1, 0, 0, 1)
-    ROT90 = (0, -1, 1, 0)
-    ROT180 = (-1, 0, 0, -1)
-    ROT270 = (0, 1, -1, 0)
-    FLIP_X = (-1, 0, 0, 1)  # reflect across the vertical axis x = 0
-    FLIP_Y = (1, 0, 0, -1)  # reflect across the horizontal axis y = 0
-    TRANSPOSE = (0, 1, 1, 0)  # reflect across y = x
-    ANTITRANSPOSE = (0, -1, -1, 0)  # reflect across y = -x
-
-    def apply_point(self, x: int, y: int) -> tuple[int, int]:
-        a, b, c, d = self.value
-        return (a * x + b * y, c * x + d * y)
-
-    def apply_cell(self, i: int, j: int) -> tuple[int, int]:
-        """Image of cell (i, j); the image of a unit cell is a unit cell."""
-        x0, y0 = self.apply_point(i, j)
-        x1, y1 = self.apply_point(i + 1, j + 1)
-        return (min(x0, x1), min(y0, y1))
 
 
 @dataclass(frozen=True)
@@ -126,27 +103,6 @@ class CellRegion:
         except TypeError:
             raise ShapeError("row0 and span bounds must be integers") from None
 
-    @classmethod
-    def from_cells(cls, cells: Iterable[tuple[int, int]],
-                   origin: tuple[int, int] = (0, 0)) -> "CellRegion":
-        """Build a region from loose cells; rejects non-row-convex sets."""
-        by_row: dict[int, set[int]] = {}
-        for i, j in cells:
-            by_row.setdefault(j, set()).add(i)
-        if not by_row:
-            return cls(0, (), origin)
-        jmin, jmax = min(by_row), max(by_row)
-        spans = []
-        for j in range(jmin, jmax + 1):
-            cols = by_row.get(j)
-            if cols is None:
-                raise ShapeError(f"row {j} is empty inside the row range")
-            lo, hi = min(cols), max(cols) + 1
-            if len(cols) != hi - lo:
-                raise ShapeError(f"row {j} is not a contiguous interval")
-            spans.append((lo, hi))
-        return cls(jmin, tuple(spans), origin)
-
     @property
     def is_empty(self) -> bool:
         return not self.spans
@@ -164,20 +120,10 @@ class CellRegion:
         for k, (lo, hi) in enumerate(self.spans):
             yield (self.row0 + k, lo, hi)
 
-    def row_span(self, j: int) -> Optional[tuple[int, int]]:
-        k = j - self.row0
-        if 0 <= k < len(self.spans):
-            return self.spans[k]
-        return None
-
     def cells(self) -> Iterator[tuple[int, int]]:
         for j, lo, hi in self.rows():
             for i in range(lo, hi):
                 yield (i, j)
-
-    def __contains__(self, cell: tuple[int, int]) -> bool:
-        span = self.row_span(cell[1])
-        return span is not None and span[0] <= cell[0] < span[1]
 
     def bounding_box(self) -> LatticeRect:
         if self.is_empty:
@@ -431,12 +377,12 @@ def split_half(region: CellRegion, spec: ShapeSpec) -> tuple[CellRegion, CellReg
     """Split an Aztec diamond or biscuit vertically into its two halves.
 
     The cut runs along the lattice line through the region's center
-    (Aztec) or quasi-center (biscuit); horizontal splits are obtained by
-    rotating first.  Returns (left part, right part, axis), where the axis is
-    the shape's vertical symmetry line: the cut line itself for an Aztec
-    diamond, and the half-unit line just right of the cut for a biscuit.  An
-    Aztec diamond splits into congruent halves; a biscuit's right part is
-    larger by one column (n^2 cells against (n-1)^2).
+    (Aztec) or quasi-center (biscuit); the horizontal halves are ``build``'s
+    top, bottom, larger and smaller pieces.  Returns (left part, right part,
+    axis), where the axis is the shape's vertical symmetry line: the cut line
+    itself for an Aztec diamond, and the half-unit line just right of the cut
+    for a biscuit.  An Aztec diamond splits into congruent halves; a
+    biscuit's right part is larger by one column (n^2 cells against (n-1)^2).
     """
     if spec.family not in (Family.AZTEC, Family.BISCUIT):
         raise ShapeError(f"split_half applies to aztec or biscuit, not {spec}")
@@ -461,16 +407,3 @@ def split_staircases(spec: ShapeSpec) -> list[tuple[ShapeSpec, CellRegion]]:
              for corner, (_, _, cols, rows) in _PIECES.items() if isinstance(corner, Corner))
     return [(staircase(q.height, corner), q) for corner, q in quads]
 
-
-def transform(region: CellRegion, g: Dihedral) -> CellRegion:
-    """Image of the region under a lattice symmetry fixing the origin.
-
-    Cell count is always preserved.  The four transposing elements require the
-    region to be column-convex as well (every shape built here is); otherwise
-    the image is not representable and a ShapeError is raised.
-    """
-    if g is Dihedral.IDENTITY:
-        return region
-    origin = g.apply_point(*region.origin)
-    return CellRegion.from_cells(
-        (g.apply_cell(i, j) for i, j in region.cells()), origin)

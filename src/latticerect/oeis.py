@@ -76,11 +76,6 @@ def parse_bfile(text: str, sequence_id: Optional[str] = None) -> BFile:
     return BFile(sequence_id, tuple(terms))
 
 
-def format_bfile(bfile: BFile) -> str:
-    """Render terms back to b-file text; parse(format(b)) == b."""
-    return "".join(f"{i} {v}\n" for i, v in bfile.terms)
-
-
 def default_cache_dir() -> Path:
     env = os.environ.get(_ENV_CACHE)
     if env:

@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from latticerect import Axis, CellRegion, CrossingClass, bijections, classify, rectangles
+from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, bijections, classify,
+                         rectangles)
 
 
 def random_row_convex(rng: random.Random, box: int = 12) -> CellRegion:
@@ -32,6 +33,31 @@ def count_by_column_pairs(region: CellRegion) -> int:
                 run = run + 1 if lo <= a and b <= hi else 0
                 total += run  # the rectangles whose top row is this one
     return total
+
+
+def rect_cells(rect: LatticeRect) -> set:
+    return {(i, j) for i in range(rect.a, rect.b) for j in range(rect.c, rect.d)}
+
+
+def flip_x(region: CellRegion) -> CellRegion:
+    """The mirror image across the line x = 0: cell (i, j) goes to (-i-1, j)."""
+    return CellRegion(region.row0, tuple((-hi, -lo) for lo, hi in region.spans))
+
+
+def symmetries(region: CellRegion) -> list[CellRegion]:
+    """The region's images under the 8 lattice symmetries fixing the origin.
+
+    The transposes need every column of the region to be one run of rows.
+    """
+    rows = list(region.rows())
+    columns = []
+    for i in range(min(lo for _, lo, _ in rows), max(hi for _, _, hi in rows)):
+        run = [j for j, lo, hi in rows if lo <= i < hi]
+        assert run == list(range(run[0], run[-1] + 1)), f"column {i} is not one run"
+        columns.append((run[0], run[-1] + 1))
+    transpose = CellRegion(min(lo for _, lo, _ in rows), tuple(columns))
+    flips = [(r, CellRegion(-r.row0 - r.height, r.spans[::-1])) for r in (region, transpose)]
+    return [image for pair in flips for r in pair for image in (r, flip_x(r))]
 
 
 def classify_tally(region: CellRegion, axis: Axis) -> dict:

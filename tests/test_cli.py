@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import refuse_type_l_inverse
 import latticerect
@@ -499,3 +503,83 @@ def test_only_region_counts_load_numpy():
                         "    codes.append(cli.main(['count', 'aztec:3']))\n"
                         "print(codes, before, 'numpy' in sys.modules)")
     assert (result.returncode, result.stdout) == (0, "[0, 0, 0, 0, 0] False True\n")
+
+
+# --- exit-code contract over arbitrary argvs ------------------------------------------
+
+# Orders past every region guard (a formula count takes any) or not ASCII decimal;
+# "٣" is an Arabic-Indic 3.
+BAD_ORDERS = ["0", "-1", "", " +4", "1_0", "1.5", "x", "٣", "20001", "10" * 16]
+SPEC_FAMILIES = ["aztec", "biscuit", "staircase", "aztec-half", "biscuit-half", "AZTEC",
+                 "nosuch", "", "äztec"]
+SPEC_VARIANTS = ["ul", "top", "left", "larger", "smaller", "zz", "", "TÖP"]
+FAMILY_TOKENS = ["s", "ah", "bh", "a", "b", "aztec", "biscuit-half", "nosuch", "", " S "]
+OEIS_TOKENS = ["A004320", "a002417", "A330805", "A213840", "A000001", "", "Ａ004320"]
+NO_DIGITS = st.characters(blacklist_characters="0123456789")
+
+
+@st.composite
+def specs(draw, cap):
+    """Shape spec text: half well-formed with orders up to cap, half malformed in any field."""
+    if draw(st.booleans()):
+        return f"{draw(st.sampled_from(Family)).value}:{draw(st.integers(1, cap))}"
+    order = draw(st.integers(1, cap).map(str) | st.sampled_from(BAD_ORDERS)
+                 | st.text(NO_DIGITS, max_size=3))
+    fields = [draw(st.sampled_from(SPEC_FAMILIES)), order,
+              *draw(st.lists(st.sampled_from(SPEC_VARIANTS), max_size=2))]
+    return ":".join(fields[:draw(st.integers(1, len(fields)))])
+
+
+def max_ns(past_guard):
+    # int() takes non-ASCII digits: "٣" is 3 and "６" (fullwidth) is 6
+    return st.integers(1, 6).map(str) | st.sampled_from(
+        ["0", "-2", past_guard, "10" * 8, "", "x", "٣", "６"])
+
+
+def id_lists(tokens):
+    """Comma lists: empty, repeated or unknown ids included."""
+    return st.lists(st.sampled_from(tokens), max_size=3).map(",".join)
+
+
+@st.composite
+def argvs(draw, tmp: Path):
+    command = draw(st.sampled_from(
+        ["count", "verify", "bijections", "oeis", "render", "nosuch", "--version"]))
+
+    def optional(flag, values):
+        return draw(st.just([]) | values.map(lambda v: [flag, v]))
+
+    argv = [command]
+    if command == "count":
+        method = draw(st.sampled_from(["fast", "naive", "formula", "all", "bogus"]))
+        argv += [draw(specs(12 if method in ("naive", "all") else 300)), "--method", method]
+    elif command == "verify":
+        argv += ["--max-n", draw(max_ns("41"))] + optional("--families", id_lists(FAMILY_TOKENS))
+    elif command == "bijections":
+        argv += ["--max-n", draw(max_ns("21"))] + optional(
+            "--map", st.sampled_from([*bijections.BIJECTION_NAMES, "nosuch"]))
+    elif command == "oeis":  # never --source network: the test stays offline
+        argv += ["--source", draw(st.sampled_from(["fixture", "cache", "bogus"])),
+                 "--cache-dir", str(tmp), *optional("--ids", id_lists(OEIS_TOKENS)),
+                 *optional("--terms", st.integers(1, 25).map(str)
+                           | st.sampled_from(["0", "-1", "1000", "x"]))]
+    elif command == "render":  # in-range orders stay small: a render writes every cell
+        argv += [draw(specs(30)), "--format", draw(st.sampled_from(["ascii", "svg", "bogus"])),
+                 *draw(st.sampled_from([[], ["--axis"]])),
+                 *optional("--out", st.sampled_from([str(tmp / "shape.txt"),
+                                                     str(tmp / "missing" / "shape.txt")]))]
+    return argv + draw(st.lists(st.sampled_from(["--json", "--no-timing"]), max_size=2))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_every_argv_exits_with_a_documented_code(tmp_path_factory, data):
+    argv = data.draw(argvs(tmp_path_factory.getbasetemp()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exited:  # argparse: 2 for a bad argv, 0 for --version
+            code = exited.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

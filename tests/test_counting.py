@@ -5,13 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_row_convex
-from latticerect import (Axis, CellRegion, CrossingClass, Dihedral,
-                         LatticeRect, aztec, aztec_half, biscuit, biscuit_half,
-                         build, classify, count_breakdown, count_family,
-                         count_fast, count_naive, parse_shape_spec, rectangles,
-                         staircase, staircase_rects, transform,
-                         verify_bijection)
+from conftest import random_row_convex, symmetries
+from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, aztec,
+                         aztec_half, biscuit, biscuit_half, build, classify,
+                         count_breakdown, count_family, count_fast, count_naive,
+                         parse_shape_spec, rectangles, staircase,
+                         staircase_rects, verify_bijection)
 from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER
 from latticerect.cli import FAST_MAX_ORDER, NAIVE_MAX_ORDER, main
 from latticerect.counting import _box_spans
@@ -195,8 +194,8 @@ def test_count_invariant_under_all_symmetries():
         for n in range(1, 11):
             region = build(make(n))
             base = count_fast(region)
-            for g in Dihedral:
-                assert count_fast(transform(region, g)) == base
+            for image in symmetries(region):
+                assert count_fast(image) == base
 
 
 def test_rectangles_enumeration_matches_count():

@@ -4,14 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latticerect import (Axis, CellRegion, Corner, Dihedral, Family,
-                         LatticeRect, Part, ShapeError, ShapeSpec, Side, aztec,
+from conftest import flip_x
+from latticerect import (Axis, CellRegion, Corner, Family, LatticeRect, Part,
+                         Quadruple, ShapeError, ShapeSpec, Side, aztec,
                          aztec_half, biscuit, biscuit_half, build,
-                         parse_shape_spec, split_half, split_staircases,
-                         staircase, transform, vertical_axis)
+                         parse_shape_spec, quadruple_to_staircase, split_half,
+                         split_staircases, staircase, vertical_axis)
 from latticerect import count_fast, count_naive
 
-ALL_FAMILY_SPECS = [aztec, biscuit, staircase, aztec_half, biscuit_half]
 VARIANTS = {v.value: v for kind in (Corner, Side, Part) for v in kind}
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,10 +61,8 @@ def test_staircase_0_is_empty():
 
 def test_aztec_half_top_spans():
     region = build(aztec_half(3))
-    assert region.row_span(0) == (-3, 3)
-    assert region.row_span(1) == (-2, 2)
-    assert region.row_span(2) == (-1, 1)
-    assert region.row_span(3) is None
+    assert region.row0 == 0
+    assert region.spans == ((-3, 3), (-2, 2), (-1, 1))  # and no row 3
 
 
 def test_half_variants_partition_the_full_shape():
@@ -132,6 +130,24 @@ def test_region_refuses_non_integer_coordinates(row0, spans):
 def test_axis_refuses_a_non_integer_position():
     with pytest.raises(ShapeError, match="must be an integer"):
         Axis(0.3)
+    with pytest.raises(ShapeError, match="must be an integer, got True"):
+        Axis(True)  # it would print as x=True and classify as x=1
+
+
+@pytest.mark.parametrize("coords", [
+    (-1.5, 0.5, 0, 1), (0, 1.0, 0, 1), (0, True, 0, 1), (False, 1, 0, 1),
+    (0, 1, "0", 1), (0, 1, 0, None),
+])
+def test_rect_refuses_non_integer_coordinates(coords):
+    with pytest.raises(ShapeError, match="rectangle coordinates must be integers"):
+        LatticeRect(*coords)
+
+
+@pytest.mark.parametrize("b", [1.0, True])
+def test_maps_refuse_a_non_integer_rectangle(b):
+    # Quadruple checks only its order, so the map's LatticeRect is the first guard
+    with pytest.raises(ShapeError, match="rectangle coordinates must be integers"):
+        quadruple_to_staircase(Quadruple(0, b, 4, 5), 3)
 
 
 def test_numpy_integers_are_coordinates():
@@ -184,7 +200,7 @@ def test_split_half_aztec_2():
     assert left.cell_count == right.cell_count == 6
     assert set(left.cells()) | set(right.cells()) == set(region.cells())
     assert not set(left.cells()) & set(right.cells())
-    assert transform(left, Dihedral.FLIP_X) == right  # congruent halves
+    assert flip_x(left) == right  # congruent halves
 
 
 def test_split_half_biscuit_axis_and_sizes():
@@ -274,53 +290,6 @@ def test_split_staircases_rejects_other_families():
         split_staircases(staircase(4))
 
 
-# --- transforms ------------------------------------------------------------
-
-def test_transform_identity():
-    region = build(biscuit(3))
-    assert transform(region, Dihedral.IDENTITY) == region
-
-
-def test_transform_clockwise_quarter_turn_dl_to_ul():
-    image = transform(build(staircase(3, Corner.DL)), Dihedral.ROT270)
-    assert normalized(image) == build(staircase(3, Corner.UL))
-
-
-def test_transform_aztec_fixed_by_all_symmetries():
-    region = build(aztec(2))
-    for g in Dihedral:
-        assert transform(region, g) == region
-
-
-@pytest.mark.parametrize("g", list(Dihedral))
-def test_transform_preserves_cell_count(g):
-    for make in ALL_FAMILY_SPECS:
-        for n in range(1, 7):
-            region = build(make(n))
-            assert transform(region, g).cell_count == region.cell_count
-
-
-def test_transform_maps_origin():
-    moved = build(aztec(1)).translate(2, 0)
-    image = transform(moved, Dihedral.ROT90)
-    assert image.origin == (0, 2)
-
-
-def test_transform_rejects_non_column_convex_transpose():
-    # rows are intervals but column 0 has a gap, so the transpose cannot be stored
-    region = CellRegion(0, ((0, 1), (2, 3), (0, 1)))
-    assert transform(region, Dihedral.FLIP_X).cell_count == 3
-    with pytest.raises(ShapeError):
-        transform(region, Dihedral.TRANSPOSE)
-
-
-def test_dihedral_cell_action():
-    assert Dihedral.ROT90.apply_cell(0, 0) == (-1, 0)
-    assert Dihedral.ROT180.apply_cell(2, 1) == (-3, -2)
-    assert Dihedral.TRANSPOSE.apply_cell(2, 1) == (1, 2)
-    assert Dihedral.FLIP_X.apply_cell(2, 1) == (-3, 1)
-
-
 # --- region validation ------------------------------------------------------
 
 def test_cell_region_rejects_empty_interval():
@@ -328,31 +297,10 @@ def test_cell_region_rejects_empty_interval():
         CellRegion(0, ((0, 0),))
 
 
-def test_from_cells_rejects_row_gap():
-    with pytest.raises(ShapeError):
-        CellRegion.from_cells([(0, 0), (2, 0)])
-
-
-def test_from_cells_rejects_missing_row():
-    with pytest.raises(ShapeError):
-        CellRegion.from_cells([(0, 0), (0, 2)])
-
-
-def test_from_cells_roundtrip():
-    region = build(biscuit(3))
-    assert CellRegion.from_cells(region.cells(), region.origin) == region
-
-
 def test_translate_moves_cells_and_origin():
     region = build(staircase(2)).translate(5, -1)
     assert set(region.cells()) == {(5, -1), (6, -1), (5, 0)}
     assert region.origin == (5, -1)
-
-
-def test_membership():
-    region = build(aztec(1))
-    assert (0, 0) in region
-    assert (1, 0) not in region
 
 
 # --- spec validation and parsing -------------------------------------------

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classify_tally, count_by_column_pairs
+from conftest import classify_tally, count_by_column_pairs, rect_cells, symmetries
 from latticerect import bijections, counting
-from latticerect import (Axis, BFile, CellRegion, Corner, CrossingClass, Dihedral,
-                         Family, LatticeRect, Part, ShapeSpec, Side, anchor_centered,
+from latticerect import (Axis, BFile, CellRegion, Corner, CrossingClass, Family,
+                         LatticeRect, Part, ShapeSpec, Side, anchor_centered,
                          build, classify, count_breakdown, count_fast, count_naive,
-                         expand_to_aztec_half, fold_left_heavy, format_bfile,
-                         parse_bfile, parse_shape_spec, quadruple_to_staircase,
-                         rectangles, shrink_to_biscuit_half,
-                         staircase_to_quadruple, transform, unanchor_centered,
-                         unfold_left_heavy)
+                         expand_to_aztec_half, fold_left_heavy, parse_bfile,
+                         parse_shape_spec, quadruple_to_staircase, rectangles,
+                         shrink_to_biscuit_half, staircase_to_quadruple,
+                         unanchor_centered, unfold_left_heavy)
 
 OFFSETS = st.integers(-10**9, 10**9)
 
@@ -115,8 +114,8 @@ def test_fast_equals_column_pair_count_on_tall_regions(region):
 def test_count_invariant_under_all_symmetries(region):
     base = count_fast(region)
     assert base == count_naive(region)
-    for g in Dihedral:
-        assert count_fast(transform(region, g)) == base
+    for image in symmetries(region):
+        assert count_fast(image) == base
 
 
 @settings(deadline=None)
@@ -178,7 +177,7 @@ def regions_and_rects(draw):
 @given(regions_and_rects())
 def test_contains_rect_equals_containing_every_cell(case):
     region, rect = case
-    assert region.contains_rect(rect) == all(cell in region for cell in rect.cells())
+    assert region.contains_rect(rect) == (rect_cells(rect) <= set(region.cells()))
 
 
 @st.composite
@@ -248,7 +247,7 @@ def test_build_gives_the_cells_of_the_inequalities(case):
 @given(st.dictionaries(st.integers(-10**6, 10**30), st.integers(-10**40, 10**40)))
 def test_bfile_text_roundtrip(terms):
     bfile = BFile(None, tuple(sorted(terms.items())))
-    assert parse_bfile(format_bfile(bfile)) == bfile
+    assert parse_bfile("".join(f"{i} {v}\n" for i, v in bfile.terms)) == bfile
 
 
 # Containment in the canonical order-n shapes, in closed form: the top row
