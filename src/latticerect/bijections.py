@@ -3,21 +3,21 @@
 Each map is a concrete coordinate transformation between two finite rectangle
 families, paired with its inverse.  A map's domain is a shape at order n and
 maybe some crossing classes about its axis: the forward map refuses the rest
-with ``_require``, and ``_MAPS`` lists it with ``_rects``, which takes the same
-arguments.  ``verify_bijection`` walks the domain once and checks injectivity,
-surjectivity and the roundtrip, so the closed forms' identities are replayed.
+with ``_require``, and ``_MAPS`` lists it with ``rectangles`` or, given the
+same axis and classes, ``_crossing_rects``.  ``verify_bijection`` walks the
+domain once and checks injectivity, surjectivity and the roundtrip, so the
+closed forms' identities are replayed.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional
 
 from .counting import CrossingClass, _row_bands, classify, rectangles
-from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, aztec_half, biscuit_half,
-                       build, staircase, vertical_axis)
+from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, _integer, aztec_half,
+                       biscuit_half, build, staircase, vertical_axis)
 
 #: Exhaustive verification is guarded to small orders; domain sizes grow as n^4.
 MAX_VERIFY_ORDER = 20
@@ -42,19 +42,13 @@ def _require(rect: LatticeRect, shape: Callable[[int], ShapeSpec], n: int,
         raise ValueError(f"{rect} is {cls.name} about {axis}")
 
 
-def _crossing_rects(region: CellRegion, axis: Axis, classes: tuple) -> list[LatticeRect]:
+def _crossing_rects(region: CellRegion, axis: Axis,
+                    classes: tuple = _CROSSING) -> list[LatticeRect]:
     """The rectangles of the region in crossing classes about the axis, in rectangles() order."""
     last, first = (axis.double_x - 1) // 2, axis.double_x // 2 + 1  # lines left, right of it
     return [rect for c, d, lo, hi in _row_bands(region)  # only a <= last, b >= first cross
             for a in range(lo, min(hi, last + 1)) for b in range(max(lo, first), hi + 1)
             if classify(rect := LatticeRect(a, b, c, d), axis) in classes]
-
-
-def _rects(shape: Callable[[int], ShapeSpec], n: int, axis: Optional[Axis] = None,
-           classes: tuple = _CROSSING) -> list[LatticeRect]:
-    """The rectangles that _require accepts, in rectangles() order."""
-    region = _built(shape, n)
-    return list(rectangles(region)) if axis is None else _crossing_rects(region, axis, classes)
 
 
 @dataclass(frozen=True)
@@ -165,20 +159,20 @@ class BijectionReport:
 #: name -> order -> (domain in enumeration order, codomain, forward, inverse)
 _MAPS: dict[str, Callable[[int], tuple]] = {
     "quadruple": lambda n: (
-        _rects(staircase, n),
+        list(rectangles(_built(staircase, n))),
         {Quadruple(*combo) for combo in itertools.combinations(range(n + 3), 4)},
         staircase_to_quadruple, quadruple_to_staircase),
     "type_l": lambda n: (
-        _rects(aztec_half, n, _AZTEC_AXIS, (CrossingClass.LEFT,)),
+        _crossing_rects(_built(aztec_half, n), _AZTEC_AXIS, (CrossingClass.LEFT,)),
         set(rectangles(_built(staircase, n - 1).translate(1, 0))),
         fold_left_heavy, unfold_left_heavy),
     "type_c": lambda n: (
-        _rects(aztec_half, n, _AZTEC_AXIS, (CrossingClass.CENTERED,)),
-        {r for r in _rects(staircase, n) if r.a == 0},
+        _crossing_rects(_built(aztec_half, n), _AZTEC_AXIS, (CrossingClass.CENTERED,)),
+        {r for r in rectangles(_built(staircase, n)) if r.a == 0},
         lambda rect, _n: anchor_centered(rect), lambda rect, _n: unanchor_centered(rect)),
     "biscuit_expand": lambda n: (
-        _rects(biscuit_half, n, _BISCUIT_AXIS),
-        set(_rects(aztec_half, n, _AZTEC_AXIS)),
+        _crossing_rects(_built(biscuit_half, n), _BISCUIT_AXIS),
+        set(_crossing_rects(_built(aztec_half, n), _AZTEC_AXIS)),
         expand_to_aztec_half, shrink_to_biscuit_half),
 }
 
@@ -193,9 +187,9 @@ def verify_bijection(name: str, n: int) -> BijectionReport:
     """
     if name not in _MAPS:
         raise ValueError(f"unknown bijection {name!r}; known: {', '.join(_MAPS)}")
-    if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= MAX_VERIFY_ORDER:
+    if (order := _integer(n)) is None or not 1 <= order <= MAX_VERIFY_ORDER:
         raise ValueError(f"order must be an integer in 1..{MAX_VERIFY_ORDER}, got {n!r}")
-    n = int(n)  # a numpy order reports as an int
+    n = order  # a numpy order reports as an int
     domain, codomain, forward, inverse = _MAPS[name](n)
     images = set()
     counterexample = None  # the first in domain order

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import __version__, bijections, counting, formulas, oeis
-from .geometry import (Family, ShapeError, ShapeSpec, build, parse_shape_spec,
+from .geometry import (Family, ShapeError, ShapeSpec, ascii_int, build, parse_shape_spec,
                        vertical_axis)
 from .render import render_ascii, render_svg
 
@@ -267,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify", help="sweep naive/fast/formula agreement over all families")
-    verify.add_argument("--max-n", type=int, default=10,
+    verify.add_argument("--max-n", type=ascii_int, default=10,
                         help=f"top order per family (1..{NAIVE_MAX_ORDER})")
     verify.add_argument("--families",
                         help="comma list: s, ah, bh, a, b or family names")
@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bij = sub.add_parser(
         "bijections", help="exhaustively verify the rectangle bijections")
-    bij.add_argument("--max-n", type=int, default=8,
+    bij.add_argument("--max-n", type=ascii_int, default=8,
                      help=f"top order (1..{bijections.MAX_VERIFY_ORDER})")
     bij.add_argument("--map", choices=bijections.BIJECTION_NAMES,
                      help="verify a single map")
@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oeis_cmd = sub.add_parser(
         "oeis", help="compare the closed forms against OEIS reference terms")
     oeis_cmd.add_argument("--ids", help="comma list of OEIS ids (default: all four)")
-    oeis_cmd.add_argument("--terms", type=int, default=20,
+    oeis_cmd.add_argument("--terms", type=ascii_int, default=20,
                           help="number of terms to compare from n=1")
     oeis_cmd.add_argument("--source", choices=oeis.SOURCES, default="fixture",
                           help="term source: bundled fixtures, local cache, or network")

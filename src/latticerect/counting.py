@@ -21,8 +21,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 from . import formulas
-from .geometry import (Axis, CellRegion, Family, LatticeRect, Part, ShapeSpec,
-                       build)
+from .geometry import _PIECES, Axis, CellRegion, LatticeRect, ShapeSpec, build
 
 
 class CrossingClass(Enum):
@@ -112,9 +111,8 @@ def _box_spans(region: CellRegion, bound: Callable[[int, int], int]) -> np.ndarr
     import numpy as np
     try:
         spans = np.fromiter(chain.from_iterable(region.spans), np.int64).reshape(-1, 2)
-    except OverflowError:  # far from the origin: shift in Python, then as near it
-        left = min(lo for lo, _ in region.spans)
-        spans = np.array([(lo - left, hi - left) for lo, hi in region.spans], dtype=object)
+    except OverflowError:  # far from the origin: Python ints, shifted below like any other
+        spans = np.array(region.spans, dtype=object)
     left = int(spans.min())
     if bound(int(spans.max()) - left, region.height) < 2**63:
         return (spans - left).astype(np.int64, copy=False)
@@ -247,10 +245,8 @@ def count_family(spec: ShapeSpec, method: str = "fast") -> int:
     and the smaller biscuit half of order n matches the larger half of order
     n-1.
     """
-    if method == "formula":
-        n = spec.n
-        if spec.family is Family.BISCUIT_HALF and spec.variant is Part.SMALLER:
-            n -= 1
+    if method == "formula":  # the order change of the piece the shape is cut from
+        n = spec.n + _PIECES[spec.variant or spec.family][1]
         return formulas.evaluate(formulas.SequenceId[spec.family.name], n)
     if method not in REGION_COUNTERS:
         raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")

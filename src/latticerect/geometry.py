@@ -18,6 +18,21 @@ class ShapeError(ValueError):
     """Invalid shape parameters, malformed shape text, or an impossible region."""
 
 
+def _integer(value) -> Optional[int]:
+    """``index(value)``, so numpy integers pass as int; None for a bool or a non-integer."""
+    try:
+        return None if isinstance(value, bool) else index(value)
+    except TypeError:
+        return None
+
+
+def ascii_int(text: str) -> int:
+    """Parse ASCII decimal digits; int() would also take signs, "_", spaces and other digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII decimal digits: {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class LatticeRect:
     """Axis-aligned lattice rectangle [a, b] x [c, d] with a < b and c < d."""
@@ -29,12 +44,8 @@ class LatticeRect:
 
     def __post_init__(self):
         if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is int:
-            try:  # numpy integers pass; a bool, which index() takes as 0 or 1, does not
-                if bool in (type(self.a), type(self.b), type(self.c), type(self.d)):
-                    raise TypeError
-                index(self.a), index(self.b), index(self.c), index(self.d)
-            except TypeError:
-                raise ShapeError(f"rectangle coordinates must be integers, got {self}") from None
+            if None in map(_integer, (self.a, self.b, self.c, self.d)):
+                raise ShapeError(f"rectangle coordinates must be integers, got {self}")
         if not (self.a < self.b and self.c < self.d):
             raise ShapeError(f"degenerate rectangle {self}")
 
@@ -63,12 +74,8 @@ class Axis:
     half: bool = False
 
     def __post_init__(self):
-        try:
-            if isinstance(self.x0, bool):
-                raise TypeError
-            index(self.x0)
-        except TypeError:
-            raise ShapeError(f"axis position must be an integer, got {self.x0!r}") from None
+        if _integer(self.x0) is None:
+            raise ShapeError(f"axis position must be an integer, got {self.x0!r}")
 
     @property
     def double_x(self) -> int:
@@ -209,12 +216,9 @@ class ShapeSpec:
             raise ShapeError(
                 f"{self.family.value} variant must be a {type(default).__name__}, "
                 f"got {self.variant!r}")
-        try:
-            if isinstance(self.n, bool):
-                raise TypeError
-            object.__setattr__(self, "n", index(self.n))
-        except TypeError:
-            raise ShapeError(f"{self.family.value} order must be an integer, got {self.n!r}") from None
+        if (n := _integer(self.n)) is None:
+            raise ShapeError(f"{self.family.value} order must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         min_n = 0 if self.family is Family.STAIRCASE else 1
         if self.n < min_n:
             raise ShapeError(f"{self.family.value} order must be >= {min_n}, got {self.n}")
@@ -263,11 +267,8 @@ def parse_shape_spec(text: str) -> ShapeSpec:
     if len(parts) < 2:
         raise ShapeError(f"missing order after {fam_text!r} at position {len(parts[0])}")
     n_pos = len(parts[0]) + 1
-    n_text = parts[1].strip()
     try:
-        if not (n_text.isascii() and n_text.isdigit()):
-            raise ValueError  # int() would also take signs, "_" and non-ASCII digits
-        n = int(n_text)
+        n = ascii_int(parts[1].strip())
     except ValueError:
         raise ShapeError(f"invalid order {parts[1]!r} at position {n_pos}") from None
     if n < 1:

@@ -4,8 +4,8 @@ Offline first: reference terms for the four identified sequences ship with the
 package, so checks run with no network.  :data:`SOURCES` are the CLI's ``--source``
 names: ``fixture`` (the bundled terms), ``cache`` (``<cache>/<id>.bfile``, under
 ``$LATTICERECT_OEIS_CACHE`` or ``~/.cache/latticerect``), and ``network`` (a
-download through an injectable transport, which writes the cache and falls back
-to a warm cache when it fails).
+download from ``$LATTICERECT_OEIS_URL`` or oeis.org, which writes the cache and
+falls back to a warm cache when it fails).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import tempfile
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .formulas import OEIS_IDS, SequenceId, evaluate
 
@@ -106,15 +106,13 @@ def _fixture_text(sequence_id: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def fetch(sequence_id: str, source: str = "network",
-          cache_dir: Optional[Path] = None,
-          transport: Optional[Callable[[str], str]] = None) -> BFile:
+def fetch(sequence_id: str, source: str = "network", cache_dir: Optional[Path] = None) -> BFile:
     """Retrieve a b-file from one of :data:`SOURCES`.
 
-    ``network`` downloads (via ``transport``, default urllib) and writes the
-    cache, falling back to a warm cache when the download fails; ``cache`` and
-    ``fixture`` never touch the network.  Retrieval failures raise FetchError;
-    malformed content raises BFileError.
+    ``network`` downloads and writes the cache, falling back to a warm cache
+    when the download fails; ``cache`` and ``fixture`` never touch the
+    network.  Retrieval failures raise FetchError; malformed content raises
+    BFileError.
     """
     if not _ID_RE.match(sequence_id):
         raise ValueError(f"bad OEIS id {sequence_id!r}")
@@ -127,7 +125,7 @@ def fetch(sequence_id: str, source: str = "network",
     failure = FetchError(f"no cached b-file at {cache_file}")
     if source == "network":
         try:
-            text = (transport or _download)(bfile_url(sequence_id))
+            text = _download(bfile_url(sequence_id))
         except FetchError as err:
             failure = err  # reported only if the cache is cold too
         else:
@@ -170,8 +168,7 @@ class SeqCheckReport:
 
 
 def check(sequence_id: str, seq: SequenceId, n_max: int,
-          source: str = "fixture", cache_dir: Optional[Path] = None,
-          transport: Optional[Callable[[str], str]] = None) -> SeqCheckReport:
+          source: str = "fixture", cache_dir: Optional[Path] = None) -> SeqCheckReport:
     """Compare our closed form against the OEIS entry for n = 1..n_max.
 
     Only the four supported (OEIS id, sequence) pairings are accepted.  Terms
@@ -187,7 +184,7 @@ def check(sequence_id: str, seq: SequenceId, n_max: int,
             f"{sequence_id} lists the {expected_seq.name.lower()} sequence, not {seq.name.lower()}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    bfile = fetch(sequence_id, source=source, cache_dir=cache_dir, transport=transport)
+    bfile = fetch(sequence_id, source=source, cache_dir=cache_dir)
     by_index = dict(bfile.terms)
     matches, first_mismatch = 0, None
     for n in range(1, n_max + 1):

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, bijections, classify,
-                         rectangles)
+                         oeis, rectangles)
 
 
 def random_row_convex(rng: random.Random, box: int = 12) -> CellRegion:
@@ -81,6 +81,12 @@ def refuse_type_l_inverse(monkeypatch, from_order: int) -> None:
             return inverse(rect, order)
         return domain, codomain, forward, refusing
     monkeypatch.setitem(bijections._MAPS, "type_l", refusing_sides)
+
+
+@pytest.fixture
+def fake_download(monkeypatch):
+    """``fake_download(fake)`` makes ``fake(url)`` answer every b-file download."""
+    return lambda fake: monkeypatch.setattr(oeis, "_download", fake)
 
 
 @pytest.fixture

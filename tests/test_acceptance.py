@@ -156,13 +156,13 @@ def test_criterion_4_bijection_suite():
     _verdict(4, f"4 maps exhaustively bijective for n<=12 in {elapsed:.1f}s")
 
 
-def test_criterion_5_oeis_fixture_terms():
+def test_criterion_5_oeis_fixture_terms(fake_download):
     def no_network(url):
         raise AssertionError(f"network touched: {url}")
 
+    fake_download(no_network)
     for sequence_id, seq in SEQUENCE_FOR_ID.items():
-        report = check(sequence_id, seq, 20, source="fixture",
-                       transport=no_network)
+        report = check(sequence_id, seq, 20, source="fixture")
         assert report.ok and report.matches == 20, report
     _verdict(5, "A004320, A002417, A330805, A213840 match 20 terms offline")
 

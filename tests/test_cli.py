@@ -289,6 +289,27 @@ def test_empty_list_is_usage_error(capsys, argv, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("option", [("verify", "--max-n"), ("bijections", "--max-n"),
+                                    ("oeis", "--terms")])
+@pytest.mark.parametrize("value", ["٣", "６", "1_0", " +4", "-2"])
+def test_integer_options_take_ascii_digits_only(capsys, option, value):
+    # int() would read "٣" as 3, fullwidth "６" as 6, "1_0" as 10 and " +4" as 4
+    with pytest.raises(SystemExit) as exited:
+        main([*option, value])
+    assert exited.value.code == 2
+    assert f"invalid ascii_int value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bijections", "--max-n", "0"], "--max-n must be in 1..20, got 0"),
+    (["oeis", "--terms", "0"], "--terms must be >= 1, got 0"),
+])
+def test_zero_reaches_the_range_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 # --- bijections ----------------------------------------------------------------------
 
 def test_bijections_all_verified(capsys):
@@ -531,7 +552,7 @@ def specs(draw, cap):
 
 
 def max_ns(past_guard):
-    # int() takes non-ASCII digits: "٣" is 3 and "６" (fullwidth) is 6
+    # only ASCII digits parse: "٣", "６" (fullwidth) and "-2" are argparse usage errors
     return st.integers(1, 6).map(str) | st.sampled_from(
         ["0", "-2", past_guard, "10" * 8, "", "x", "٣", "６"])
 

@@ -10,12 +10,12 @@ from latticerect.oeis import (SEQUENCE_FOR_ID, BFile, BFileError, FetchError,
 ALL_IDS = ("A004320", "A002417", "A330805", "A213840")
 
 
-def failing_transport(url):
+def failing_download(url):
     raise FetchError(f"refused: {url}")
 
 
-def exploding_transport(url):
-    raise AssertionError(f"network transport used for {url}")
+def exploding_download(url):
+    raise AssertionError(f"network download used for {url}")
 
 
 # --- parsing -----------------------------------------------------------------
@@ -72,8 +72,9 @@ def test_fixture_fetch():
     assert bfile.source == "fixture"
 
 
-def test_fixture_fetch_never_uses_network():
-    bfile = fetch("A002417", source="fixture", transport=exploding_transport)
+def test_fixture_fetch_never_uses_network(fake_download):
+    fake_download(exploding_download)
+    bfile = fetch("A002417", source="fixture")
     assert bfile.terms[0] == (1, 1)
 
 
@@ -95,42 +96,43 @@ def test_bad_source_rejected():
 
 
 @pytest.mark.parametrize("source", ["fixture-only", "cache-only", "network-then-cache"])
-def test_sources_have_one_spelling(source, tmp_path):
+def test_sources_have_one_spelling(source, tmp_path, fake_download):
     assert oeis.SOURCES == ("fixture", "cache", "network")
+    fake_download(exploding_download)
     with pytest.raises(ValueError, match="unknown source"):
-        fetch("A004320", source=source, cache_dir=tmp_path, transport=exploding_transport)
+        fetch("A004320", source=source, cache_dir=tmp_path)
 
 
-def test_network_fetch_writes_cache(tmp_path):
+def test_network_fetch_writes_cache(tmp_path, fake_download):
     served = "1 3\n2 16\n3 50\n"
     seen = []
 
-    def transport(url):
+    def download(url):
         seen.append(url)
         return served
 
-    bfile = fetch("A004320", source="network",
-                  cache_dir=tmp_path, transport=transport)
+    fake_download(download)
+    bfile = fetch("A004320", source="network", cache_dir=tmp_path)
     assert bfile.source == "network"
     assert bfile.terms == ((1, 3), (2, 16), (3, 50))
     assert seen == [bfile_url("A004320")]
     assert (tmp_path / "A004320.bfile").read_text() == served
 
 
-def test_concurrent_fetches_leave_one_valid_cache_file(tmp_path):
+def test_concurrent_fetches_leave_one_valid_cache_file(tmp_path, fake_download):
     served = "1 3\n2 16\n3 50\n"
     both_downloaded = threading.Barrier(2, timeout=10)
 
-    def transport(url):
+    def download(url):
         both_downloaded.wait()  # both writers reach the cache write together
         return served
 
+    fake_download(download)
     results, errors = [], []
 
     def worker():
         try:
-            results.append(fetch("A004320", source="network",
-                                 cache_dir=tmp_path, transport=transport))
+            results.append(fetch("A004320", source="network", cache_dir=tmp_path))
         except Exception as err:  # reported below; a thread would swallow it
             errors.append(err)
 
@@ -146,21 +148,21 @@ def test_concurrent_fetches_leave_one_valid_cache_file(tmp_path):
     assert (tmp_path / "A004320.bfile").read_text() == served
 
 
-def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch, fake_download):
     def broken_replace(src, dst):
         raise OSError("disk full")
 
     monkeypatch.setattr(oeis.os, "replace", broken_replace)
+    fake_download(lambda url: "1 3\n")
     with pytest.raises(OSError):
-        fetch("A004320", source="network",
-              cache_dir=tmp_path, transport=lambda url: "1 3\n")
+        fetch("A004320", source="network", cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_network_failure_falls_back_to_cache(tmp_path):
+def test_network_failure_falls_back_to_cache(tmp_path, fake_download):
     (tmp_path / "A004320.bfile").write_text("1 3\n2 16\n")
-    bfile = fetch("A004320", source="network",
-                  cache_dir=tmp_path, transport=failing_transport)
+    fake_download(failing_download)
+    bfile = fetch("A004320", source="network", cache_dir=tmp_path)
     assert bfile.source == "cache"
     assert bfile.terms == ((1, 3), (2, 16))
 
@@ -172,25 +174,25 @@ def test_truncated_download_falls_back_to_cache(tmp_path, truncated_oeis_server)
     assert bfile.terms == ((1, 3), (2, 16), (3, 50))
 
 
-def test_network_failure_without_cache(tmp_path):
+def test_network_failure_without_cache(tmp_path, fake_download):
+    fake_download(failing_download)
     with pytest.raises(FetchError):
-        fetch("A004320", source="network",
-              cache_dir=tmp_path, transport=failing_transport)
+        fetch("A004320", source="network", cache_dir=tmp_path)
 
 
-def test_cache_only(tmp_path):
+def test_cache_only(tmp_path, fake_download):
     with pytest.raises(FetchError):
         fetch("A004320", source="cache", cache_dir=tmp_path)
     (tmp_path / "A004320.bfile").write_text("1 3\n")
-    bfile = fetch("A004320", source="cache", cache_dir=tmp_path,
-                  transport=exploding_transport)
+    fake_download(exploding_download)
+    bfile = fetch("A004320", source="cache", cache_dir=tmp_path)
     assert bfile.source == "cache"
 
 
-def test_malformed_download_is_not_cached(tmp_path):
+def test_malformed_download_is_not_cached(tmp_path, fake_download):
+    fake_download(lambda url: "not a bfile")
     with pytest.raises(BFileError):
-        fetch("A004320", source="network",
-              cache_dir=tmp_path, transport=lambda url: "not a bfile")
+        fetch("A004320", source="network", cache_dir=tmp_path)
     assert not (tmp_path / "A004320.bfile").exists()
 
 
