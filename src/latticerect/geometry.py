@@ -8,7 +8,7 @@ below-left of its true center), at the origin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import index
 from typing import Iterator, Optional, Union
@@ -91,14 +91,11 @@ class CellRegion:
     """A row-convex set of unit cells: one column interval [lo, hi) per row.
 
     ``row0`` is the lowest row index; ``spans[k]`` is the interval of row
-    ``row0 + k``.  ``origin`` records where the construction placed the shape's
-    center or quasi-center; it travels with translations but does not take part
-    in equality.
+    ``row0 + k``.
     """
 
     row0: int
     spans: tuple[tuple[int, int], ...]
-    origin: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def __post_init__(self):
         try:
@@ -150,9 +147,7 @@ class CellRegion:
         return True
 
     def translate(self, dx: int, dy: int) -> "CellRegion":
-        spans = tuple((lo + dx, hi + dx) for lo, hi in self.spans)
-        origin = (self.origin[0] + dx, self.origin[1] + dy)
-        return CellRegion(self.row0 + dy, spans, origin)
+        return CellRegion(self.row0 + dy, tuple((lo + dx, hi + dx) for lo, hi in self.spans))
 
 
 class Family(Enum):
@@ -308,23 +303,32 @@ _PIECES: dict[Union[Family, Variant], tuple[Family, int, int, int]] = {
 }
 
 
-def _whole(family: Family, n: int, origin: tuple[int, int], rows: int = 0) -> CellRegion:
-    """Order-n (n >= 0) aztec or biscuit, (quasi-)center at origin; rows cut as in ``_PIECES``."""
-    x, y = origin
+def _piece(family: Family, n: int, x: int, y: int, cols: int, rows: int) -> CellRegion:
+    """Order-n (n >= 0) aztec or biscuit, (quasi-)center at (x, y), cut as in ``_PIECES``.
+
+    Row y + j (j >= 0) spans [x + j - n + b, x + n - j); the rows below mirror
+    those above.  Only a left cut empties rows: a biscuit's [x, x + 1) end rows.
+    """
     b = 1 if family is Family.BISCUIT else 0  # a biscuit's row y is its own mirror
-    top = [(x + j - n + b, x + n - j) for j in range(n)]
+    if cols > 0:
+        top = [(x, x + n - j) for j in range(n)]
+    elif cols < 0:
+        top = [(x + j - n + b, x) for j in range(n - b)]
+    else:
+        top = [(x + j - n + b, x + n - j) for j in range(n)]
     if rows > 0:
-        return CellRegion(y, tuple(top), origin)
+        return CellRegion(y, tuple(top))
     bottom = top[b:][::-1]
-    return CellRegion(y - len(bottom), tuple(bottom if rows else bottom + top), origin)
+    return CellRegion(y - len(bottom), tuple(bottom if rows else bottom + top))
 
 
 def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:
-    """Construct the canonical region for spec, moved by offset.
+    """Construct the canonical region for spec, moved by offset, in one pass.
 
     Only the two whole shapes have formulas; every other family is a piece of
     one of them, cut along the lattice lines through its center or
-    quasi-center (see ``_PIECES``).  Canonical rows, bottom to top:
+    quasi-center (see ``_PIECES``), and the formula yields only the piece's
+    rows and columns.  Canonical rows, bottom to top:
 
     * aztec n: rows -n..n-1, row j spans [-(n-j'), n-j') with j' = j for
       j >= 0 and j' = -j-1 below; widths 2, 4, ..., 2n, 2n, ..., 4, 2.
@@ -339,12 +343,14 @@ def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:
       sits on that corner of the box [0, n] x [0, n]: dl keeps columns and rows
       >= 0, so row j spans [0, n-j); ul, ur and dr are its reflections.
     """
+    x, y = map(_integer, offset)
+    if x is None or y is None:
+        raise ShapeError(f"offset must be two integers, got {offset!r}")
     whole, dn, cols, rows = _PIECES[spec.variant or spec.family]
     n = spec.n + dn
-    if not isinstance(spec.variant, Corner):
-        return _cut(_whole(whole, n, offset, rows), cols)
-    corner = (offset[0] + (n if cols < 0 else 0), offset[1] + (n if rows < 0 else 0))
-    return replace(_cut(_whole(whole, n, corner, rows), cols), origin=offset)
+    if isinstance(spec.variant, Corner):
+        x, y = x + (n if cols < 0 else 0), y + (n if rows < 0 else 0)
+    return _piece(whole, n, x, y, cols, rows)
 
 
 def vertical_axis(spec: ShapeSpec) -> Axis:
@@ -360,34 +366,22 @@ def vertical_axis(spec: ShapeSpec) -> Axis:
     return Axis(0, half=whole is Family.BISCUIT)
 
 
-def _cut(region: CellRegion, cols: int) -> CellRegion:
-    """Cut the region's columns at its origin as in ``_PIECES``."""
-    if not cols:
-        return region
-    p = region.origin[0]
-    spans = ([(max(lo, p), hi) for lo, hi in region.spans] if cols > 0
-             else [(lo, min(hi, p)) for lo, hi in region.spans])
-    kept = [k for k, (lo, hi) in enumerate(spans) if lo < hi]
-    if kept and kept[-1] - kept[0] >= len(kept):
-        raise ShapeError("clip produced a region with a gap between rows")
-    first = kept[0] if kept else 0
-    return CellRegion(region.row0 + first, tuple(spans[first:first + len(kept)]), region.origin)
+def split_half(spec: ShapeSpec) -> tuple[CellRegion, CellRegion, Axis]:
+    """Split a canonical Aztec diamond or biscuit vertically into its two halves.
 
-
-def split_half(region: CellRegion, spec: ShapeSpec) -> tuple[CellRegion, CellRegion, Axis]:
-    """Split an Aztec diamond or biscuit vertically into its two halves.
-
-    The cut runs along the lattice line through the region's center
-    (Aztec) or quasi-center (biscuit); the horizontal halves are ``build``'s
-    top, bottom, larger and smaller pieces.  Returns (left part, right part,
-    axis), where the axis is the shape's vertical symmetry line: the cut line
-    itself for an Aztec diamond, and the half-unit line just right of the cut
-    for a biscuit.  An Aztec diamond splits into congruent halves; a
-    biscuit's right part is larger by one column (n^2 cells against (n-1)^2).
+    The cut runs along the lattice line x = 0 through the center (Aztec) or
+    quasi-center (biscuit); the horizontal halves are ``build``'s top, bottom,
+    larger and smaller pieces.  Returns (left part, right part, axis), where
+    the axis is ``vertical_axis(spec)``: the cut line itself for an Aztec
+    diamond, and the half-unit line just right of the cut for a biscuit.  An
+    Aztec diamond splits into congruent halves, ``build``'s left and right
+    pieces; a biscuit's right part is larger by one column (n^2 cells against
+    (n-1)^2).
     """
     if spec.family not in (Family.AZTEC, Family.BISCUIT):
         raise ShapeError(f"split_half applies to aztec or biscuit, not {spec}")
-    return _cut(region, -1), _cut(region, 1), Axis(region.origin[0], vertical_axis(spec).half)
+    left, right = (_piece(spec.family, spec.n, 0, 0, cols, 0) for cols in (-1, 1))
+    return left, right, vertical_axis(spec)
 
 
 def split_staircases(spec: ShapeSpec) -> list[tuple[ShapeSpec, CellRegion]]:
@@ -404,7 +398,6 @@ def split_staircases(spec: ShapeSpec) -> list[tuple[ShapeSpec, CellRegion]]:
         raise ShapeError(f"split_staircases applies to aztec or biscuit, not {spec}")
     if spec.family is Family.BISCUIT and spec.n < 2:
         raise ShapeError("a biscuit of order 1 has no four-staircase decomposition")
-    quads = ((corner, _cut(_whole(spec.family, spec.n, (0, 0), rows), cols))
+    quads = ((corner, _piece(spec.family, spec.n, 0, 0, cols, rows))
              for corner, (_, _, cols, rows) in _PIECES.items() if isinstance(corner, Corner))
     return [(staircase(q.height, corner), q) for corner, q in quads]
-

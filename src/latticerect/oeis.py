@@ -106,8 +106,8 @@ def _fixture_text(sequence_id: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def fetch(sequence_id: str, source: str = "network", cache_dir: Optional[Path] = None) -> BFile:
-    """Retrieve a b-file from one of :data:`SOURCES`.
+def fetch(sequence_id: str, source: str = "fixture", cache_dir: Optional[Path] = None) -> BFile:
+    """Retrieve a b-file from one of :data:`SOURCES`, by default the bundled fixture.
 
     ``network`` downloads and writes the cache, falling back to a warm cache
     when the download fails; ``cache`` and ``fixture`` never touch the

@@ -101,7 +101,32 @@ def test_smaller_biscuit_half_matches_previous_larger():
 def test_build_offset_translates():
     moved = build(aztec(1), offset=(3, 4))
     assert moved == build(aztec(1)).translate(3, 4)
-    assert moved.origin == (3, 4)
+
+
+@pytest.mark.parametrize("offset", [(True, 0), (0, False), (0.5, 0), ("1", 0)])
+def test_build_refuses_a_non_integer_offset(offset):
+    # index() takes a bool as 0 or 1; a float or str would reach the spans
+    with pytest.raises(ShapeError, match="offset must be two integers"):
+        build(aztec(2), offset)
+
+
+def test_build_takes_a_numpy_offset():
+    region = build(staircase(3, Corner.UR), (np.int64(-4), np.int32(9)))
+    assert region == build(staircase(3, Corner.UR)).translate(-4, 9)
+    assert all(type(v) is int for span in region.spans for v in span)
+
+
+def test_build_constructs_one_region_per_call(monkeypatch):
+    made = []
+    check = CellRegion.__post_init__
+    monkeypatch.setattr(CellRegion, "__post_init__", lambda r: made.append(r) or check(r))
+    for family in Family:
+        default = ShapeSpec(family, 1).variant
+        for variant in [None] if default is None else type(default):
+            for n in (1, 2, 5):
+                made.clear()
+                region = build(ShapeSpec(family, n, variant), (3, -7))
+                assert made == [region], (family, variant, n)
 
 
 def test_build_placements_match_golden():
@@ -111,7 +136,6 @@ def test_build_placements_match_golden():
         region = build(spec, tuple(entry["offset"]))
         assert region.row0 == entry["row0"], entry
         assert region.spans == tuple(map(tuple, entry["spans"])), entry
-        assert region.origin == tuple(entry["origin"]), entry
 
 
 # --- integer coordinates ----------------------------------------------------
@@ -195,7 +219,7 @@ def test_contains_rect_closed_form_on_half_diamond(n):
 
 def test_split_half_aztec_2():
     region = build(aztec(2))
-    left, right, axis = split_half(region, aztec(2))
+    left, right, axis = split_half(aztec(2))
     assert axis == Axis(0)
     assert left.cell_count == right.cell_count == 6
     assert set(left.cells()) | set(right.cells()) == set(region.cells())
@@ -205,7 +229,7 @@ def test_split_half_aztec_2():
 
 def test_split_half_biscuit_axis_and_sizes():
     # the cell cut runs through the quasi-center; the symmetry axis sits at x=1/2
-    left, right, axis = split_half(build(biscuit(2)), biscuit(2))
+    left, right, axis = split_half(biscuit(2))
     assert axis == Axis(0, half=True)
     assert (left.cell_count, right.cell_count) == (1, 4)
     lb, rb = left.bounding_box(), right.bounding_box()
@@ -213,7 +237,7 @@ def test_split_half_biscuit_axis_and_sizes():
 
 
 def test_split_half_biscuit_1():
-    left, right, _ = split_half(build(biscuit(1)), biscuit(1))
+    left, right, _ = split_half(biscuit(1))
     assert left.is_empty
     assert right.cell_count == 1
 
@@ -222,34 +246,24 @@ def test_split_half_biscuit_1():
 def test_split_half_partitions(make):
     for n in range(1, 51):
         region = build(make(n))
-        left, right, _ = split_half(region, make(n))
+        left, right, _ = split_half(make(n))
         assert left.cell_count + right.cell_count == region.cell_count
         cells = set(left.cells())
         assert not cells & set(right.cells())
         assert cells | set(right.cells()) == set(region.cells())
 
 
-def test_split_half_refuses_a_cut_that_leaves_a_gap_between_rows():
-    region = CellRegion(0, ((0, 3), (5, 8), (0, 8)), origin=(4, 0))
-    with pytest.raises(ShapeError, match="gap between rows"):
-        split_half(region, aztec(3))
-
-
-def test_split_half_of_the_empty_region():
-    left, right, _ = split_half(CellRegion(0, ()), biscuit(2))
-    assert left.is_empty and right.is_empty
-
-
-def test_split_half_with_every_row_right_of_the_cut():
-    region = CellRegion(-4, ((2, 5), (3, 6)), origin=(1, -3))
-    left, right, _ = split_half(region, aztec(3))
-    assert left.is_empty and left.origin == (1, -3)
-    assert right == region and right.origin == (1, -3)
+def test_split_half_of_an_aztec_gives_its_left_and_right_halves():
+    for n in range(1, 31):
+        left, right, axis = split_half(aztec(n))
+        assert left == build(aztec_half(n, Side.LEFT))
+        assert right == build(aztec_half(n, Side.RIGHT))
+        assert axis == vertical_axis(aztec(n))
 
 
 def test_split_half_rejects_other_families():
-    with pytest.raises(ShapeError):
-        split_half(build(staircase(3)), staircase(3))
+    with pytest.raises(ShapeError, match="split_half applies to aztec or biscuit"):
+        split_half(staircase(3))
 
 
 def test_split_staircases_aztec_4():
@@ -300,7 +314,7 @@ def test_cell_region_rejects_empty_interval():
 def test_translate_moves_cells_and_origin():
     region = build(staircase(2)).translate(5, -1)
     assert set(region.cells()) == {(5, -1), (6, -1), (5, 0)}
-    assert region.origin == (5, -1)
+    assert region == build(staircase(2), (5, -1))  # as if built at the moved origin
 
 
 # --- spec validation and parsing -------------------------------------------

@@ -78,6 +78,13 @@ def test_fixture_fetch_never_uses_network(fake_download):
     assert bfile.terms[0] == (1, 1)
 
 
+def test_fetch_reads_the_fixture_by_default(fake_download):
+    fake_download(exploding_download)
+    bfile = fetch("A004320")
+    assert bfile.source == "fixture"
+    assert bfile == fetch("A004320", source="fixture")
+
+
 def test_fixture_missing():
     with pytest.raises(FetchError):
         fetch("A000000", source="fixture")
