@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .counting import CrossingClass, _row_bands, classify, rectangles
-from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, _integer, aztec_half,
+from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, _Four, _integer, aztec_half,
                        biscuit_half, build, staircase, vertical_axis)
 
 #: Exhaustive verification is guarded to small orders; domain sizes grow as n^4.
 MAX_VERIFY_ORDER = 20
 #: Vertical symmetry axes of the canonical Aztec diamond and biscuit halves.
 _AZTEC_AXIS, _BISCUIT_AXIS = vertical_axis(aztec_half(1)), vertical_axis(biscuit_half(1))
-#: The classes of a rectangle whose interior meets the axis.
-_CROSSING = (CrossingClass.LEFT, CrossingClass.RIGHT, CrossingClass.CENTERED)
+#: The classes of a rectangle whose interior meets the axis, in b order for each a.
+_CROSSING = (CrossingClass.LEFT, CrossingClass.CENTERED, CrossingClass.RIGHT)
 
 
 @functools.lru_cache(maxsize=8)
@@ -34,38 +34,41 @@ def _built(shape: Callable[[int], ShapeSpec], n: int) -> CellRegion:
 
 
 def _require(rect: LatticeRect, shape: Callable[[int], ShapeSpec], n: int,
-             axis: Optional[Axis] = None, classes: tuple = _CROSSING) -> None:
-    """Refuse a rectangle outside shape(n) or, given an axis, outside the classes about it."""
+             axis: Optional[Axis] = None, classes: tuple = _CROSSING) -> LatticeRect:
+    """The rectangle, refused if outside shape(n) or, given an axis, the classes about it."""
     if not _built(shape, n).contains_rect(rect):
         raise ValueError(f"{rect} is not inside {shape(n)}")
     if axis is not None and (cls := classify(rect, axis)) not in classes:
         raise ValueError(f"{rect} is {cls.name} about {axis}")
+    return rect
 
 
 def _crossing_rects(region: CellRegion, axis: Axis,
                     classes: tuple = _CROSSING) -> list[LatticeRect]:
-    """The rectangles of the region in crossing classes about the axis, in rectangles() order."""
-    last, first = (axis.double_x - 1) // 2, axis.double_x // 2 + 1  # lines left, right of it
-    return [rect for c, d, lo, hi in _row_bands(region)  # only a <= last, b >= first cross
-            for a in range(lo, min(hi, last + 1)) for b in range(max(lo, first), hi + 1)
-            if classify(rect := LatticeRect(a, b, c, d), axis) in classes]
+    """The rectangles of the region in crossing classes about the axis, in rectangles() order;
+    a crossing one is LEFT, CENTERED or RIGHT as a + b <, = or > dx: one b range per a each."""
+    dx = axis.double_x
+    last, first = (dx - 1) // 2, dx // 2 + 1  # only a <= last and b >= first cross
+    return [LatticeRect(a, b, c, d) for c, d, lo, hi in _row_bands(region)
+            for a in range(lo, min(hi, last + 1))  # so lo < first <= dx - a
+            for cuts in ((first, min(dx - a, hi + 1), min(dx - a + 1, hi + 1), hi + 1),)
+            for k in range(3) if _CROSSING[k] in classes for b in range(cuts[k], cuts[k + 1])]
 
 
-@dataclass(frozen=True)
-class Quadruple:
+class Quadruple(_Four):
     """Strictly increasing integer quadruple 0 <= a < b < c < d."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.a < self.b < self.c < self.d):
+    def __new__(cls, a, b, c, d):
+        self = tuple.__new__(cls, (a, b, c, d))
+        if not type(a) is type(b) is type(c) is type(d) is int:
+            if None in (ints := tuple(map(_integer, self))):
+                raise ValueError(f"quadruple entries must be integers, got {self}")
+            a, b, c, d = self = tuple.__new__(cls, ints)
+        if not (0 <= a < b < c < d):
             raise ValueError(f"not strictly increasing from 0: {self}")
-
-    def __str__(self) -> str:
-        return f"({self.a},{self.b},{self.c},{self.d})"
+        return self
 
 
 def staircase_to_quadruple(rect: LatticeRect, n: int) -> Quadruple:
@@ -76,15 +79,16 @@ def staircase_to_quadruple(rect: LatticeRect, n: int) -> Quadruple:
     [a, b] x [c, d] satisfies exactly 0 <= a < b < c < d <= n+2, so its own
     coordinates are the encoding.
     """
-    _require(rect, staircase, n)
-    return Quadruple(rect.a, rect.b, n + 2 - rect.d, n + 2 - rect.c)
+    a, b, c, d = _require(rect, staircase, n)
+    return Quadruple(a, b, n + 2 - d, n + 2 - c)
 
 
 def quadruple_to_staircase(q: Quadruple, n: int) -> LatticeRect:
     """Inverse of staircase_to_quadruple; requires d <= n + 2."""
-    if q.d > n + 2:
+    a, b, c, d = q
+    if d > n + 2:
         raise ValueError(f"{q} exceeds the order-{n} bound {n + 2}")
-    return LatticeRect(q.a, q.b, n + 2 - q.d, n + 2 - q.c)
+    return LatticeRect(a, b, n + 2 - d, n + 2 - c)
 
 
 def fold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
@@ -94,30 +98,33 @@ def fold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     the right part leaves the strip [b, -a] x [c, d], which lands in the
     order-(n-1) staircase one column right of the axis.
     """
-    _require(rect, aztec_half, n, _AZTEC_AXIS, (CrossingClass.LEFT,))
-    return LatticeRect(rect.b, -rect.a, rect.c, rect.d)
+    a, b, c, d = _require(rect, aztec_half, n, _AZTEC_AXIS, (CrossingClass.LEFT,))
+    return LatticeRect(b, -a, c, d)
 
 
 def unfold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     """Inverse of fold_left_heavy: [u, v] x [c, d] back to [-v, u] x [c, d]."""
-    if rect.a < 1:
+    a, b, c, d = rect
+    if a < 1:
         raise ValueError(f"{rect} does not lie strictly right of the axis")
     _require(rect, aztec_half, n)
-    return LatticeRect(-rect.b, rect.a, rect.c, rect.d)
+    return LatticeRect(-b, a, c, d)
 
 
 def anchor_centered(rect: LatticeRect) -> LatticeRect:
     """Identify a centered rectangle [-b, b] x [c, d] with its right part."""
-    if rect.a != -rect.b:
+    a, b, c, d = rect
+    if a != -b:
         raise ValueError(f"{rect} is not centered on the axis x=0")
-    return LatticeRect(0, rect.b, rect.c, rect.d)
+    return LatticeRect(0, b, c, d)
 
 
 def unanchor_centered(rect: LatticeRect) -> LatticeRect:
     """Mirror an axis-anchored rectangle back to its centered original."""
-    if rect.a != 0:
+    a, b, c, d = rect
+    if a != 0:
         raise ValueError(f"{rect} does not have its left side on the axis x=0")
-    return LatticeRect(-rect.b, rect.b, rect.c, rect.d)
+    return LatticeRect(-b, b, c, d)
 
 
 def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
@@ -128,14 +135,14 @@ def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
     diamond; a rectangle whose interior meets the axis grows with it, to
     [a-1, b] x [c, d], which crosses the new diamond's axis x = 0.
     """
-    _require(rect, biscuit_half, n, _BISCUIT_AXIS)
-    return LatticeRect(rect.a - 1, rect.b, rect.c, rect.d)
+    a, b, c, d = _require(rect, biscuit_half, n, _BISCUIT_AXIS)
+    return LatticeRect(a - 1, b, c, d)
 
 
 def shrink_to_biscuit_half(rect: LatticeRect, n: int) -> LatticeRect:
     """Inverse of expand_to_aztec_half: drop the inserted column."""
-    _require(rect, aztec_half, n, _AZTEC_AXIS)
-    return LatticeRect(rect.a + 1, rect.b, rect.c, rect.d)
+    a, b, c, d = _require(rect, aztec_half, n, _AZTEC_AXIS)
+    return LatticeRect(a + 1, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,8 @@ _MAPS: dict[str, Callable[[int], tuple]] = {
         fold_left_heavy, unfold_left_heavy),
     "type_c": lambda n: (
         _crossing_rects(_built(aztec_half, n), _AZTEC_AXIS, (CrossingClass.CENTERED,)),
-        {r for r in rectangles(_built(staircase, n)) if r.a == 0},
+        {LatticeRect(0, b, c, d) for c, d, lo, hi in _row_bands(_built(staircase, n))
+         if lo <= 0 for b in range(1, hi + 1)},
         lambda rect, _n: anchor_centered(rect), lambda rect, _n: unanchor_centered(rect)),
     "biscuit_expand": lambda n: (
         _crossing_rects(_built(biscuit_half, n), _BISCUIT_AXIS),

@@ -40,16 +40,13 @@ class CrossingClass(Enum):
 
 
 def classify(rect: LatticeRect, axis: Axis) -> CrossingClass:
-    dx = axis.double_x  # widths compared in half-units, exact for both kinds
-    if not (2 * rect.a < dx < 2 * rect.b):
+    a, b, _, _ = rect
+    dx = axis.double_x  # in half-units, exact for both kinds: the left part is dx - 2a wide,
+    if not (2 * a < dx < 2 * b):  # the right one 2b - dx, so a + b - dx is their difference
         return CrossingClass.NON_CROSSING
-    left = dx - 2 * rect.a
-    right = 2 * rect.b - dx
-    if left > right:
-        return CrossingClass.LEFT
-    if left < right:
-        return CrossingClass.RIGHT
-    return CrossingClass.CENTERED
+    if a + b == dx:
+        return CrossingClass.CENTERED
+    return CrossingClass.LEFT if a + b < dx else CrossingClass.RIGHT
 
 
 #: count_naive compares about this many (a, b) pairs per numpy step, one row at least.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import index
+from operator import index, itemgetter
 from typing import Iterator, Optional, Union
 
 
@@ -33,32 +33,46 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class LatticeRect:
+class _Four(tuple):
+    """Four named entries as an immutable tuple: equal to, and hashed as, the plain tuple."""
+
+    __slots__ = ()
+    a, b, c, d = (property(itemgetter(k)) for k in range(4))
+    _FORMAT = "({},{},{},{})"  # the str() layout
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)  # copy and every pickle protocol rebuild through __new__
+
+    def __repr__(self) -> str:
+        return "{}(a={!r}, b={!r}, c={!r}, d={!r})".format(type(self).__name__, *self)
+
+    def __str__(self) -> str:
+        return self._FORMAT.format(*self)
+
+
+class LatticeRect(_Four):
     """Axis-aligned lattice rectangle [a, b] x [c, d] with a < b and c < d."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
+    _FORMAT = "[{},{}]x[{},{}]"
 
-    def __post_init__(self):
-        if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is int:
-            if None in map(_integer, (self.a, self.b, self.c, self.d)):
+    def __new__(cls, a, b, c, d):
+        self = tuple.__new__(cls, (a, b, c, d))
+        if not type(a) is type(b) is type(c) is type(d) is int:
+            if None in (ints := tuple(map(_integer, self))):
                 raise ShapeError(f"rectangle coordinates must be integers, got {self}")
-        if not (self.a < self.b and self.c < self.d):
+            a, b, c, d = self = tuple.__new__(cls, ints)
+        if not (a < b and c < d):
             raise ShapeError(f"degenerate rectangle {self}")
+        return self
 
     @property
     def width(self) -> int:
-        return self.b - self.a
+        return self[1] - self[0]
 
     @property
     def height(self) -> int:
-        return self.d - self.c
-
-    def __str__(self) -> str:
-        return f"[{self.a},{self.b}]x[{self.c},{self.d}]"
+        return self[3] - self[2]
 
 
 @dataclass(frozen=True)
@@ -138,10 +152,10 @@ class CellRegion:
 
     def contains_rect(self, rect: LatticeRect) -> bool:
         """True iff every cell of rect lies in the region."""
-        c, d, a, b = rect.c - self.row0, rect.d - self.row0, rect.a, rect.b
-        if c < 0 or d > len(self.spans):
+        a, b, c, d = rect
+        if c < self.row0 or d > self.row0 + len(self.spans):
             return False
-        for lo, hi in self.spans[c:d]:
+        for lo, hi in self.spans[c - self.row0:d - self.row0]:
             if a < lo or b > hi:
                 return False
         return True

@@ -46,11 +46,9 @@ def render_svg(region: CellRegion, axis: Optional[Axis] = None) -> str:
     if region.is_empty:
         return '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1"/>\n'
     box = region.bounding_box()
-    width = box.b - box.a
-    height = box.d - box.c
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="-0.5 -0.5 {width + 1} {height + 1}">',
+        f'viewBox="-0.5 -0.5 {box.width + 1} {box.height + 1}">',
         '<g fill="#dde3f0" stroke="#30343c" stroke-width="0.05">',
     ]
     for y, (_, lo, hi) in enumerate(reversed(list(region.rows()))):  # SVG y grows down
@@ -60,7 +58,7 @@ def render_svg(region: CellRegion, axis: Optional[Axis] = None) -> str:
     if axis is not None:
         x = _num(axis.double_x / 2 - box.a)
         lines.append(
-            f'<line x1="{x}" y1="-0.5" x2="{x}" y2="{_num(height + 0.5)}" '
+            f'<line x1="{x}" y1="-0.5" x2="{x}" y2="{_num(box.height + 0.5)}" '
             'stroke="#c03020" stroke-width="0.06" stroke-dasharray="0.3 0.2"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

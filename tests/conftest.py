@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import socket
 import threading
@@ -66,6 +68,21 @@ def classify_tally(region: CellRegion, axis: Axis) -> dict:
     for rect in rectangles(region):
         tally[classify(rect, axis)] += 1
     return tally
+
+
+def check_four_tuple(value, text: str) -> None:
+    """The value-type contract of LatticeRect and Quadruple: an immutable 4-tuple,
+    hashed as the plain tuple, with an exact repr, that copies and pickles as itself."""
+    assert value == tuple(value) and hash(value) == hash(tuple(value))
+    assert repr(value) == text
+    for name in ("a", "d", "e"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    twins = [copy.copy(value), copy.deepcopy(value)]
+    twins += [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert type(twin) is type(value) and twin == value and repr(twin) == text
 
 
 def refuse_type_l_inverse(monkeypatch, from_order: int) -> None:

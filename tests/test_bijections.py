@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import refuse_type_l_inverse
+from conftest import check_four_tuple, refuse_type_l_inverse
 from latticerect import (Axis, CrossingClass, LatticeRect, Quadruple, ShapeSpec,
                          anchor_centered, aztec_half, binomial, biscuit_half,
                          build, classify, expand_to_aztec_half,
@@ -58,6 +58,19 @@ def test_quadruple_rejects_out_of_range():
         Quadruple(0, 2, 2, 3)
     with pytest.raises(ValueError):
         Quadruple(-1, 1, 2, 3)
+
+
+def test_quadruple_is_an_immutable_four_tuple():
+    q = Quadruple(0, 1, 2, 3)
+    check_four_tuple(q, "Quadruple(a=0, b=1, c=2, d=3)")
+    assert (q.a, q.b, q.c, q.d) == (0, 1, 2, 3) and str(q) == "(0,1,2,3)"
+
+
+def test_quadruple_takes_numpy_integers_as_ints():
+    np = pytest.importorskip("numpy")
+    q = Quadruple(np.int8(0), np.int64(1), 2, np.uint16(3))
+    check_four_tuple(q, "Quadruple(a=0, b=1, c=2, d=3)")
+    assert all(type(x) is int for x in q)
 
 
 # --- left-heavy fold ----------------------------------------------------------
@@ -166,6 +179,23 @@ def test_verify_bijection_small_orders(name):
         assert report.verified, (name, n, report)
         assert report.counterexample is None
         assert report.domain_size == EXPECTED_DOMAIN_SIZE[name](n)
+
+
+@pytest.mark.parametrize("name", BIJECTION_NAMES)
+def test_maps_return_their_own_value_types(name):
+    # equal entries make a LatticeRect equal a Quadruple, so pin the types
+    n = 5
+    domain, _, forward, inverse = bijections._MAPS[name](n)
+    image_type = Quadruple if name == "quadruple" else LatticeRect
+    for x in domain:
+        y = forward(x, n)
+        assert type(y) is image_type and type(inverse(y, n)) is LatticeRect
+
+
+def test_type_c_codomain_is_the_staircase_rectangles_on_the_axis():
+    for n in range(1, MAX_VERIFY_ORDER + 1):
+        codomain = bijections._MAPS["type_c"](n)[1]
+        assert codomain == {r for r in rectangles(build(staircase(n))) if r.a == 0}, n
 
 
 def test_verify_bijection_guards():

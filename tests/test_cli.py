@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import refuse_type_l_inverse
 import latticerect
-from latticerect import Family, SequenceId, bijections, cli, counting, evaluate
+from latticerect import Family, LatticeRect, SequenceId, bijections, cli, counting, evaluate
 from latticerect.cli import entry_point, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -344,7 +343,7 @@ def test_bijections_failure_is_reported_and_exits_3(capsys, monkeypatch):
 
         def widened(rect, order):
             image = forward(rect, order)
-            return dataclasses.replace(image, b=image.b + 1) if order >= 3 else image
+            return LatticeRect(image.a, image.b + 1, image.c, image.d) if order >= 3 else image
         return domain, codomain, widened, inverse
     monkeypatch.setitem(bijections._MAPS, "type_l", widened_sides)
     counterexample = ("(LatticeRect(a=-3, b=1, c=0, d=1), "

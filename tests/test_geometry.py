@@ -1,14 +1,15 @@
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import flip_x
+from conftest import check_four_tuple, flip_x
 from latticerect import (Axis, CellRegion, Corner, Family, LatticeRect, Part,
                          Quadruple, ShapeError, ShapeSpec, Side, aztec,
                          aztec_half, biscuit, biscuit_half, build,
-                         parse_shape_spec, quadruple_to_staircase, split_half,
+                         parse_shape_spec, split_half,
                          split_staircases, staircase, vertical_axis)
 from latticerect import count_fast, count_naive
 
@@ -167,17 +168,41 @@ def test_rect_refuses_non_integer_coordinates(coords):
         LatticeRect(*coords)
 
 
-@pytest.mark.parametrize("b", [1.0, True])
+@pytest.mark.parametrize("b", [1.0, True, "1", None])
 def test_maps_refuse_a_non_integer_rectangle(b):
-    # Quadruple checks only its order, so the map's LatticeRect is the first guard
-    with pytest.raises(ShapeError, match="rectangle coordinates must be integers"):
-        quadruple_to_staircase(Quadruple(0, b, 4, 5), 3)
+    # Quadruple checks its entries, so the quadruple map's input cannot be made
+    with pytest.raises(ValueError, match="quadruple entries must be integers"):
+        Quadruple(0, b, 4, 5)
 
 
 def test_numpy_integers_are_coordinates():
     region = CellRegion(np.int64(-2), ((np.int32(0), np.int64(2)), (np.int64(1), 3)))
     assert count_fast(region) == count_naive(region) == 7
     assert Axis(np.int64(1), half=True).double_x == 3
+
+
+# --- the rectangle value type ------------------------------------------------
+
+def test_rect_is_an_immutable_four_tuple():
+    rect = LatticeRect(-3, 1, 0, 1)
+    check_four_tuple(rect, "LatticeRect(a=-3, b=1, c=0, d=1)")
+    assert (rect.a, rect.b, rect.c, rect.d, rect.width, rect.height) == (-3, 1, 0, 1, 4, 1)
+    assert str(rect) == "[-3,1]x[0,1]"
+    tampered = pickle.dumps(LatticeRect(0, 1, 0, 1), 0).replace(b"I1\n", b"I-5\n", 1)
+    with pytest.raises(ShapeError, match="degenerate rectangle"):
+        pickle.loads(tampered)  # an old protocol too goes through the checks
+
+
+def test_rect_takes_numpy_integers_as_ints():
+    rect = LatticeRect(np.int64(-3), np.int32(1), 0, np.uint8(1))
+    check_four_tuple(rect, "LatticeRect(a=-3, b=1, c=0, d=1)")
+    assert all(type(x) is int for x in rect)
+
+
+def test_rect_refuses_a_degenerate_rectangle():
+    for coords in ((1, 1, 0, 1), (0, 1, 2, 2), (2, 1, 0, 1)):
+        with pytest.raises(ShapeError, match="degenerate rectangle"):
+            LatticeRect(*coords)
 
 
 # --- bounding boxes and containment ---------------------------------------
