@@ -12,8 +12,8 @@ from .bijections import (BijectionReport, Quadruple, anchor_centered,
                          staircase_to_quadruple, unanchor_centered,
                          unfold_left_heavy, verify_bijection)
 from .counting import (CountBreakdown, CrossingClass, classify,
-                       count_breakdown, count_family, count_fast, count_naive,
-                       rectangles)
+                       count_breakdown, count_fast, count_formula,
+                       count_naive, rectangles)
 from .formulas import (OEIS_IDS, SequenceId, aztec_half_rects, aztec_rects,
                        binomial, biscuit_half_rects, biscuit_rects, evaluate,
                        staircase_rects)
@@ -31,7 +31,7 @@ __all__ = [
     "ShapeSpec", "Side", "anchor_centered", "aztec", "aztec_half",
     "aztec_half_rects", "aztec_rects", "binomial", "biscuit", "biscuit_half",
     "biscuit_half_rects", "biscuit_rects", "build", "check", "classify",
-    "count_breakdown", "count_family", "count_fast", "count_naive", "evaluate",
+    "count_breakdown", "count_fast", "count_formula", "count_naive", "evaluate",
     "expand_to_aztec_half", "fetch", "fold_left_heavy", "parse_bfile",
     "parse_shape_spec", "quadruple_to_staircase", "rectangles", "render_ascii",
     "render_svg", "shrink_to_biscuit_half", "split_half", "split_staircases",

@@ -9,7 +9,7 @@ C(w+1, 2) over the non-empty bands: those inside 32-row leaves by the band
 walk, a band height per numpy step, which ``count_breakdown`` also uses, and
 the rest by a divide and conquer over rows, a level per numpy step, O(H log H)
 in all.  ``rectangles`` lists the bands' rectangles at the cost of its output.
-Closed forms, the third way, live in :mod:`latticerect.formulas`.
+``count_formula``, the third way, applies the closed forms of :mod:`latticerect.formulas`.
 numpy is imported by the functions that use it, so only these counts load it.
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 from . import formulas
-from .geometry import _PIECES, Axis, CellRegion, LatticeRect, ShapeSpec, build
+from .geometry import _PIECES, Axis, CellRegion, LatticeRect, ShapeSpec
 
 
 class CrossingClass(Enum):
@@ -230,21 +230,11 @@ def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
     return CountBreakdown(sum(tally.values()), MappingProxyType(tally))
 
 
-#: Counters that run on a built region; the formula route needs none.
-REGION_COUNTERS = {"naive": count_naive, "fast": count_fast}
-COUNT_METHODS = (*REGION_COUNTERS, "formula")
+def count_formula(spec: ShapeSpec) -> int:
+    """Count a family shape by its closed form, at any order.
 
-
-def count_family(spec: ShapeSpec, method: str = "fast") -> int:
-    """Count a family shape by the chosen method; all methods agree.
-
-    The formula route is order-based: variants of a family share one count,
-    and the smaller biscuit half of order n matches the larger half of order
-    n-1.
+    The count is order-based: variants of a family share one count, and the
+    smaller biscuit half of order n matches the larger half of order n-1.
     """
-    if method == "formula":  # the order change of the piece the shape is cut from
-        n = spec.n + _PIECES[spec.variant or spec.family][1]
-        return formulas.evaluate(formulas.SequenceId[spec.family.name], n)
-    if method not in REGION_COUNTERS:
-        raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
-    return REGION_COUNTERS[method](build(spec))
+    n = spec.n + _PIECES[spec.variant or spec.family][1]  # the order change of its piece
+    return formulas.evaluate(formulas.SequenceId[spec.family.name], n)

@@ -90,6 +90,8 @@ class Axis:
     def __post_init__(self):
         if _integer(self.x0) is None:
             raise ShapeError(f"axis position must be an integer, got {self.x0!r}")
+        if not isinstance(self.half, bool):
+            raise ShapeError(f"axis half must be a bool, got {self.half!r}")
 
     @property
     def double_x(self) -> int:
@@ -215,6 +217,8 @@ class ShapeSpec:
     variant: Optional[Variant] = None
 
     def __post_init__(self):
+        if not isinstance(self.family, Family):
+            raise ShapeError(f"shape family must be a Family, got {self.family!r}")
         default = _DEFAULT_VARIANT.get(self.family)
         if default is None:
             if self.variant is not None:

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .formulas import OEIS_IDS, SequenceId, evaluate
+from .geometry import _integer
 
 #: Where :func:`fetch` reads a b-file; ``BFile.source`` reports the one that served it.
 SOURCES = ("fixture", "cache", "network")
@@ -182,12 +183,12 @@ def check(sequence_id: str, seq: SequenceId, n_max: int,
     if expected_seq is not seq:
         raise ValueError(
             f"{sequence_id} lists the {expected_seq.name.lower()} sequence, not {seq.name.lower()}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if (last := _integer(n_max)) is None or last < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     bfile = fetch(sequence_id, source=source, cache_dir=cache_dir)
     by_index = dict(bfile.terms)
     matches, first_mismatch = 0, None
-    for n in range(1, n_max + 1):
+    for n in range(1, last + 1):
         reference = by_index.get(n)
         if reference is None:
             indices = f"{bfile.terms[0][0]}..{bfile.terms[-1][0]}" if bfile.terms else "none"
@@ -198,5 +199,5 @@ def check(sequence_id: str, seq: SequenceId, n_max: int,
             matches += 1
         elif first_mismatch is None:
             first_mismatch = (n, reference, computed)
-    return SeqCheckReport(sequence_id=sequence_id, checked_range=(1, n_max), matches=matches,
+    return SeqCheckReport(sequence_id=sequence_id, checked_range=(1, last), matches=matches,
                           first_mismatch=first_mismatch, source=bfile.source)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import refuse_type_l_inverse
 import latticerect
-from latticerect import Family, LatticeRect, SequenceId, bijections, cli, counting, evaluate
+from latticerect import Family, LatticeRect, SequenceId, bijections, cli, evaluate
 from latticerect.cli import entry_point, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,7 +41,7 @@ def test_json_report_matches_golden(capsys, argv, fixture):
 
 
 def test_family_and_sequence_share_member_names():
-    # the CLI and count_family map between the two enums by member name
+    # the CLI and count_formula map between the two enums by member name
     assert {f.name for f in Family} == {s.name for s in SequenceId}
 
 
@@ -92,6 +92,15 @@ def test_render_out_file(capsys, tmp_path):
     text = target.read_text()
     assert text.count("<rect") == 13
     assert "wrote" in out
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("ascii", ""),
+    ("svg", '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1"/>\n'),
+])
+def test_render_empty_region(capsys, fmt, expected):
+    code, out, err = run(capsys, "render", "biscuit-half:1:smaller", "--format", fmt)
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_render_out_unwritable_path_exits_2(capsys, tmp_path):
@@ -201,6 +210,25 @@ def test_count_json_includes_timing_by_default(capsys):
     assert "timing_ms" in json.loads(out)
 
 
+@pytest.mark.parametrize("method,timed", [
+    ("naive", True), ("fast", True), ("all", True), ("formula", False)])
+def test_count_times_the_numpy_import_only_for_region_methods(capsys, method, timed):
+    _, out, _ = run(capsys, "count", "aztec:2", "--method", method, "--json")
+    assert ("numpy_import" in json.loads(out)["timing_ms"]) is timed
+
+
+def test_count_disagreement_exits_3(capsys, monkeypatch):
+    fast = cli.REGION_COUNTERS["fast"]
+    monkeypatch.setitem(cli.REGION_COUNTERS, "fast", lambda region: fast(region) + 1)
+    code, out, err = run(capsys, "count", "aztec:3", "--method", "all")
+    assert (code, out, err) == (
+        3, "aztec:3: METHOD DISAGREEMENT naive=166 fast=167 formula=166\n", "")
+    code, out, _ = run(capsys, "count", "aztec:3", "--method", "all", "--json", "--no-timing")
+    report = json.loads(out)
+    assert (code, report["agreement"], report["exit_status"]) == (3, False, 3)
+    assert report["counts"] == {"naive": 166, "fast": 167, "formula": 166}
+
+
 # --- verify ------------------------------------------------------------------------
 
 def test_verify_sweep_passes(capsys):
@@ -232,8 +260,8 @@ def test_verify_drops_repeated_families(capsys):
 
 
 def test_verify_mismatch_reports_every_family_and_exits_3(capsys, monkeypatch):
-    fast = counting.REGION_COUNTERS["fast"]
-    monkeypatch.setitem(counting.REGION_COUNTERS, "fast",
+    fast = cli.REGION_COUNTERS["fast"]
+    monkeypatch.setitem(cli.REGION_COUNTERS, "fast",
                         lambda region: fast(region) + (region.height >= 6))
     code, out, err = run(capsys, "verify", "--max-n", "4")
     assert (code, err) == (3, "")
@@ -264,9 +292,8 @@ def test_verify_mismatch_reports_every_family_and_exits_3(capsys, monkeypatch):
 
 def test_verify_builds_each_shape_once(capsys, monkeypatch):
     built = []
-    for module in (cli, counting):
-        monkeypatch.setattr(module, "build", lambda spec, _build=module.build:
-                            built.append(spec) or _build(spec))
+    monkeypatch.setattr(cli, "build", lambda spec, _build=cli.build:
+                        built.append(spec) or _build(spec))
     code, out, _ = run(capsys, "verify", "--max-n", "3")
     assert code == 0, out
     assert len(built) == len(set(built)) == 3 * len(SequenceId), built
@@ -382,6 +409,12 @@ def test_oeis_fixture_check(capsys):
     for sequence_id in ("A004320", "A002417", "A330805", "A213840"):
         assert f"{sequence_id}" in out
     assert out.count("20/20") == 4
+
+
+def test_oeis_terms_past_the_bfile_exit_2(capsys):
+    code, out, err = run(capsys, "oeis", "--terms", "21")
+    assert (code, out) == (2, "")
+    assert err == "error: A004320 b-file lacks terms for n=21 (has indices 1..20)\n"
 
 
 def test_oeis_single_id_single_term(capsys):
@@ -510,6 +543,15 @@ def test_cli_import_leaves_urllib_request_unloaded():
     result = run_python("-c", "import sys, latticerect.cli; "
                         "print('urllib.request' in sys.modules)")
     assert (result.returncode, result.stdout) == (0, "False\n")
+
+
+def test_count_method_timers_leave_out_the_numpy_import():
+    # numpy loads with the first region count of a fresh process, in about 85 ms;
+    # the fast kernel on aztec:30 takes about 1 ms
+    result = run_python("-m", "latticerect", "count", "aztec:30", "--json")
+    assert result.returncode == 0
+    timing = json.loads(result.stdout)["timing_ms"]
+    assert timing["fast"] < timing["numpy_import"]
 
 
 def test_only_region_counts_load_numpy():

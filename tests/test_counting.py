@@ -8,7 +8,7 @@ import pytest
 from conftest import random_row_convex, symmetries
 from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, aztec,
                          aztec_half, biscuit, biscuit_half, build, classify,
-                         count_breakdown, count_family, count_fast, count_naive,
+                         count_breakdown, count_fast, count_formula, count_naive,
                          parse_shape_spec, rectangles, staircase,
                          staircase_rects, verify_bijection)
 from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER
@@ -67,7 +67,7 @@ def test_frozen_counts_all_methods(make):
         region = build(make(n))
         assert count_naive(region) == expected
         assert count_fast(region) == expected
-        assert count_family(make(n), "formula") == expected
+        assert count_formula(make(n)) == expected
 
 
 @pytest.mark.parametrize("make", list(FROZEN_COUNTS))
@@ -310,33 +310,28 @@ def test_breakdown_total_matches_naive():
         assert sum(breakdown.by_class.values()) == breakdown.total
 
 
-# --- per-family dispatch ------------------------------------------------------
+# --- the three routes on family shapes ----------------------------------------
 
 def test_count_family_methods_agree_on_spot_specs():
     from latticerect import Part
     for spec in [aztec(1), biscuit(1), aztec_half(1), biscuit_half(2),
                  staircase(4), biscuit_half(3, Part.SMALLER)]:
-        values = {count_family(spec, m) for m in ("naive", "fast", "formula")}
-        assert len(values) == 1
+        region = build(spec)
+        assert count_naive(region) == count_fast(region) == count_formula(spec)
 
 
 def test_count_family_smaller_half_uses_previous_order():
     from latticerect import Part, biscuit_half_rects
     for n in range(1, 8):
         spec = biscuit_half(n, Part.SMALLER)
-        assert count_family(spec, "formula") == biscuit_half_rects(n - 1)
-        assert count_family(spec, "naive") == count_family(spec, "formula")
+        assert count_formula(spec) == biscuit_half_rects(n - 1)
+        assert count_naive(build(spec)) == count_formula(spec)
 
 
 def test_count_family_staircase_orientation_irrelevant():
     from latticerect import Corner
     for corner in Corner:
-        assert count_family(staircase(3, corner), "fast") == 15
-
-
-def test_count_family_unknown_method():
-    with pytest.raises(ValueError):
-        count_family(aztec(1), "guess")
+        assert count_fast(build(staircase(3, corner))) == 15
 
 
 def test_count_fast_matches_formula_at_larger_orders():

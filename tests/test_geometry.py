@@ -159,6 +159,13 @@ def test_axis_refuses_a_non_integer_position():
         Axis(True)  # it would print as x=True and classify as x=1
 
 
+@pytest.mark.parametrize("half", ["no", 2, 1, None])
+def test_axis_refuses_a_non_bool_half(half):
+    # "no", 2 and 1 are all truthy, so each would put the line at x0 + 1/2
+    with pytest.raises(ShapeError, match="axis half must be a bool"):
+        Axis(0, half=half)
+
+
 @pytest.mark.parametrize("coords", [
     (-1.5, 0.5, 0, 1), (0, 1.0, 0, 1), (0, True, 0, 1), (False, 1, 0, 1),
     (0, 1, "0", 1), (0, 1, 0, None),
@@ -366,6 +373,13 @@ def test_shape_spec_refuses_a_non_integer_order(n):
     # operator.index takes a bool as 0 or 1; 2.5 would reach range() in build
     with pytest.raises(ShapeError, match="aztec order must be an integer"):
         ShapeSpec(Family.AZTEC, n)
+
+
+@pytest.mark.parametrize("family", [3, "aztec", None, ["aztec"]])
+def test_shape_spec_refuses_a_non_family(family):
+    # ShapeSpec(3, 3) used to build, then fail in str() and build(); a list is unhashable
+    with pytest.raises(ShapeError, match="shape family must be a Family, got"):
+        ShapeSpec(family, 3)
 
 
 def test_shape_spec_stores_a_numpy_order_as_int():

@@ -233,6 +233,13 @@ def test_check_single_term():
     assert evaluate(SequenceId.AZTEC, 1) == 9
 
 
+@pytest.mark.parametrize("n_max", [True, 2.0, "3", None, 0, -1])
+def test_check_refuses_a_non_integer_or_small_n_max(n_max):
+    # True used to check one term, and 2.0 raised a bare TypeError in range()
+    with pytest.raises(ValueError, match="n_max must be an integer >= 1, got"):
+        check("A330805", SequenceId.AZTEC, n_max)
+
+
 def test_check_rejects_wrong_pairing():
     with pytest.raises(ValueError):
         check("A213840", SequenceId.AZTEC_HALF, 5)
