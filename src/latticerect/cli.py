@@ -29,8 +29,7 @@ NAIVE_MAX_ORDER = 40
 FAST_MAX_ORDER = 20000
 #: A render writes every cell: ``render aztec:1000 --format svg`` wrote 92 MB.
 RENDER_MAX_ORDER = 1000
-_ORDER_GUARDS = {"naive-method": NAIVE_MAX_ORDER, "fast-method": FAST_MAX_ORDER,
-                 "render": RENDER_MAX_ORDER}
+_ORDER_GUARDS = {"naive": NAIVE_MAX_ORDER, "fast": FAST_MAX_ORDER}
 #: The ``--method`` routes that count a built region; ``formula`` counts from the spec.
 REGION_COUNTERS = {"naive": counting.count_naive, "fast": counting.count_fast}
 COUNT_METHODS = (*REGION_COUNTERS, "formula")
@@ -50,18 +49,29 @@ def _elapsed_ms(started: float) -> float:
     return round((time.perf_counter() - started) * 1000, 3)
 
 
-def _check_order(spec: ShapeSpec, *guards: str) -> None:
-    """Refuse an order past any named guard, before anything is built."""
-    for guard in guards:
-        limit = _ORDER_GUARDS[guard]
-        if spec.n > limit:
-            raise CommandError(EXIT_USAGE, f"order {spec.n} exceeds the {guard} guard ({limit})")
+def _check_order(spec: ShapeSpec, limit: int, guard: str) -> None:
+    """Refuse an order past the named guard, before anything is built."""
+    if spec.n > limit:
+        raise CommandError(EXIT_USAGE, f"order {spec.n} exceeds the {guard} guard ({limit})")
+
+
+def _compare_routes(spec: ShapeSpec, methods, region, timing: dict) -> tuple[dict, str]:
+    """Count by each route in order, timing each: (counts, ``m=v ...`` if they disagree)."""
+    counts = {}
+    for method in methods:
+        started = time.perf_counter()
+        counter = REGION_COUNTERS.get(method)
+        counts[method] = counter(region) if counter else counting.count_formula(spec)
+        timing[method] = _elapsed_ms(started)
+    agree = len(set(counts.values())) == 1
+    return counts, "" if agree else " ".join(f"{m}={v}" for m, v in counts.items())
 
 
 def cmd_count(args) -> tuple[dict, str, int]:
     spec = parse_shape_spec(args.spec)
     methods = list(COUNT_METHODS) if args.method == "all" else [args.method]
-    _check_order(spec, *(f"{m}-method" for m in methods if m in REGION_COUNTERS))
+    for method in filter(_ORDER_GUARDS.__contains__, methods):  # in order: the first is named
+        _check_order(spec, _ORDER_GUARDS[method], f"{method}-method")
     timing = {}
     region = None
     if any(method in REGION_COUNTERS for method in methods):
@@ -71,18 +81,12 @@ def cmd_count(args) -> tuple[dict, str, int]:
         started = time.perf_counter()
         region = build(spec)
         timing["build"] = _elapsed_ms(started)
-    counts = {}
-    for method in methods:
-        started = time.perf_counter()
-        counter = REGION_COUNTERS.get(method)
-        counts[method] = counter(region) if counter else counting.count_formula(spec)
-        timing[method] = _elapsed_ms(started)
-    agree = len(set(counts.values())) == 1
+    counts, disagreement = _compare_routes(spec, methods, region, timing)
     report = {
         "spec": str(spec),
         "methods": methods,
         "counts": counts,
-        "agreement": agree,
+        "agreement": not disagreement,
         "backend": counting.BACKEND if "fast" in methods else None,
         "region": None if region is None else {
             "width": 0 if region.is_empty else region.bounding_box().width,
@@ -91,14 +95,10 @@ def cmd_count(args) -> tuple[dict, str, int]:
         },
         "timing_ms": timing,
     }
-    if agree:
-        value = counts[methods[0]]
-        suffix = f" ({' = '.join(methods)} agree)" if len(methods) > 1 else ""
-        text = f"{spec}: {value}{suffix}"
-    else:
-        shown = " ".join(f"{m}={v}" for m, v in counts.items())
-        text = f"{spec}: METHOD DISAGREEMENT {shown}"
-    return report, text, EXIT_OK if agree else EXIT_MISMATCH
+    if disagreement:
+        return report, f"{spec}: METHOD DISAGREEMENT {disagreement}", EXIT_MISMATCH
+    suffix = f" ({' = '.join(methods)} agree)" if len(methods) > 1 else ""
+    return report, f"{spec}: {counts[methods[0]]}{suffix}", EXIT_OK
 
 
 def _parse_family(token: str) -> formulas.SequenceId:
@@ -136,10 +136,8 @@ def cmd_verify(args) -> tuple[dict, str, int]:
         family = Family[seq.name]
         for n in range(1, args.max_n + 1):
             region = build(spec := ShapeSpec(family, n))
-            counts = {m: count(region) for m, count in REGION_COUNTERS.items()}
-            counts["formula"] = counting.count_formula(spec)
-            if len(set(counts.values())) != 1:
-                shown = " ".join(f"{m}={v}" for m, v in counts.items())
+            counts, shown = _compare_routes(spec, COUNT_METHODS, region, {})
+            if shown:
                 return ({"ok": False, "counterexample": {"n": n, **counts}},
                         f"{family.value:<13} MISMATCH at n={n}: {shown}", False)
         return ({"ok": True, "counterexample": None},
@@ -229,7 +227,7 @@ def cmd_oeis(args) -> tuple[dict, str, int]:
 
 def cmd_render(args) -> tuple[dict, str, int]:
     spec = parse_shape_spec(args.spec)
-    _check_order(spec, "render")
+    _check_order(spec, RENDER_MAX_ORDER, "render")
     axis = vertical_axis(spec) if args.axis else None
     region = build(spec)
     rendered = render_ascii(region, axis) if args.format == "ascii" \

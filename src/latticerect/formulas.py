@@ -6,8 +6,8 @@ loud.  All arithmetic is exact (Python integers).
 """
 from __future__ import annotations
 
-import math
 from enum import Enum
+from math import comb as binomial  # C(n, k) = 0 when k > n; negatives raise ValueError
 
 
 class SequenceId(Enum):
@@ -27,13 +27,6 @@ OEIS_IDS = {
     SequenceId.AZTEC: "A330805",
     SequenceId.BISCUIT: "A213840",
 }
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n, k >= 0, with C(n, k) = 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {k})")
-    return math.comb(n, k)
 
 
 def _agree(name: str, n: int, *values: int) -> int:

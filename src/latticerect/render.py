@@ -33,10 +33,6 @@ def render_ascii(region: CellRegion, axis: Optional[Axis] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _num(value: float) -> str:
-    return f"{value:g}"
-
-
 def render_svg(region: CellRegion, axis: Optional[Axis] = None) -> str:
     """Unit cells as 1x1 <rect> elements in lattice coordinates, y pointing up.
 
@@ -56,9 +52,9 @@ def render_svg(region: CellRegion, axis: Optional[Axis] = None) -> str:
             lines.append(f'<rect x="{i - box.a}" y="{y}" width="1" height="1"/>')
     lines.append("</g>")
     if axis is not None:
-        x = _num(axis.double_x / 2 - box.a)
+        x = axis.double_x / 2 - box.a
         lines.append(
-            f'<line x1="{x}" y1="-0.5" x2="{x}" y2="{_num(box.height + 0.5)}" '
+            f'<line x1="{x:g}" y1="-0.5" x2="{x:g}" y2="{box.height + 0.5:g}" '
             'stroke="#c03020" stroke-width="0.06" stroke-dasharray="0.3 0.2"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

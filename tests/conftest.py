@@ -85,19 +85,32 @@ def check_four_tuple(value, text: str) -> None:
         assert type(twin) is type(value) and twin == value and repr(twin) == text
 
 
-def refuse_type_l_inverse(monkeypatch, from_order: int) -> None:
-    """Make type_l's inverse raise ValueError on every rectangle from the order on."""
+def _refuse_type_l(monkeypatch, side: int, refuses) -> None:
+    """Make type_l's forward (side 2) or inverse (side 3) map raise ValueError
+    on every rectangle where ``refuses(rect, order)`` holds."""
     sides = bijections._MAPS["type_l"]
 
     def refusing_sides(n):
-        domain, codomain, forward, inverse = sides(n)
+        parts = list(sides(n))
+        kept = parts[side]
 
         def refusing(rect, order):
-            if order >= from_order:
+            if refuses(rect, order):
                 raise ValueError(f"refused {rect}")
-            return inverse(rect, order)
-        return domain, codomain, forward, refusing
+            return kept(rect, order)
+        parts[side] = refusing
+        return tuple(parts)
     monkeypatch.setitem(bijections._MAPS, "type_l", refusing_sides)
+
+
+def refuse_type_l_inverse(monkeypatch, from_order: int) -> None:
+    """Make type_l's inverse raise ValueError on every rectangle from the order on."""
+    _refuse_type_l(monkeypatch, 3, lambda rect, order: order >= from_order)
+
+
+def refuse_type_l_forward(monkeypatch, refused: LatticeRect) -> None:
+    """Make type_l's forward map raise ValueError on the one rectangle ``refused``."""
+    _refuse_type_l(monkeypatch, 2, lambda rect, order: rect == refused)
 
 
 @pytest.fixture

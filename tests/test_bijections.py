@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import check_four_tuple, refuse_type_l_inverse
+from conftest import check_four_tuple, refuse_type_l_forward, refuse_type_l_inverse
 from latticerect import (Axis, CrossingClass, LatticeRect, Quadruple, ShapeSpec,
                          anchor_centered, aztec_half, binomial, biscuit_half,
                          build, classify, expand_to_aztec_half,
@@ -247,3 +247,26 @@ def test_verify_bijection_reports_a_raising_inverse(monkeypatch):
     x, y, message = report.counterexample
     assert (x, y) == (LatticeRect(-3, 1, 0, 1), fold_left_heavy(x, 3))
     assert message == f"refused {y}"
+
+
+def test_verify_bijection_reports_a_raising_forward_map(monkeypatch):
+    refused = LatticeRect(-3, 2, 0, 1)  # the second type_l domain element at n = 3
+    refuse_type_l_forward(monkeypatch, refused)
+    assert verify_bijection("type_l", 2).verified
+    report = verify_bijection("type_l", 3)
+    assert (report.is_injective, report.is_surjective, report.roundtrip_ok) == (False, False, False)
+    assert report.counterexample == (refused, f"refused {refused}")
+
+
+def test_verify_bijection_names_a_codomain_element_no_image_reaches(monkeypatch):
+    extra = LatticeRect(50, 51, 0, 1)
+    sides = bijections._MAPS["type_l"]
+
+    def widened(n):
+        domain, codomain, forward, inverse = sides(n)
+        return domain, codomain | {extra}, forward, inverse
+    monkeypatch.setitem(bijections._MAPS, "type_l", widened)
+    report = verify_bijection("type_l", 3)
+    assert (report.is_injective, report.is_surjective, report.roundtrip_ok) == (True, False, True)
+    assert report.image_size == report.domain_size
+    assert report.counterexample == (extra,)

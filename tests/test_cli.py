@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import refuse_type_l_inverse
+from conftest import refuse_type_l_forward, refuse_type_l_inverse
 import latticerect
 from latticerect import Family, LatticeRect, SequenceId, bijections, cli, evaluate
 from latticerect.cli import entry_point, main
@@ -68,6 +69,14 @@ def test_render_ascii_axis_on_lattice_line(capsys):
     code, out, _ = run(capsys, "render", "aztec:1", "--axis")
     assert code == 0
     assert out == "##|##\n##|##\n"
+
+
+@pytest.mark.parametrize("spec,x,y2", [("biscuit:2", "1.5", "3.5"), ("aztec:1", "1", "2.5")])
+def test_render_svg_draws_the_axis(capsys, spec, x, y2):
+    code, out, _ = run(capsys, "render", spec, "--axis", "--format", "svg")
+    assert code == 0
+    assert out.endswith(f'</g>\n<line x1="{x}" y1="-0.5" x2="{x}" y2="{y2}" stroke="#c03020" '
+                        'stroke-width="0.06" stroke-dasharray="0.3 0.2"/>\n</svg>\n')
 
 
 def test_render_axis_needs_symmetric_shape(capsys):
@@ -169,6 +178,16 @@ def test_count_fast_guard_fails_before_building(capsys):
     assert out == ""
     assert time.perf_counter() - started < 1.0
     assert run(capsys, "count", "aztec:10000000", "--method", "formula")[0] == 0
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+def test_count_all_names_the_naive_guard_first(monkeypatch, seed):
+    # aztec:20001 passes the fast guard too; the guards go in methods order, so the
+    # one named may not hang on string hashing, which differs from seed to seed
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    result = run_python("-m", "latticerect", "count", "aztec:20001", "--method", "all")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: order 20001 exceeds the naive-method guard (40)\n"
 
 
 def test_count_report_names_backend_and_region(capsys):
@@ -401,6 +420,15 @@ def test_bijections_raising_inverse_is_reported_and_exits_3(capsys, monkeypatch)
             "'refused [1,3]x[0,1]')\n") in out
 
 
+def test_bijections_exit_3_when_a_forward_map_raises(monkeypatch, capsys):
+    refuse_type_l_forward(monkeypatch, LatticeRect(-3, 2, 0, 1))
+    code, out, err = run(capsys, "bijections", "--map", "type_l")
+    assert (code, err) == (3, "")
+    assert out == ("type_l          FAILED at n=3: injective=False surjective=False "
+                   "roundtrip=False counterexample=(LatticeRect(a=-3, b=2, c=0, d=1), "
+                   "'refused [-3,2]x[0,1]')\n")
+
+
 # --- oeis ----------------------------------------------------------------------------
 
 def test_oeis_fixture_check(capsys):
@@ -524,6 +552,14 @@ def test_module_entry_point():
     result = run_python("-m", "latticerect", "count", "aztec:1", "--method", "all")
     assert result.returncode == 0
     assert "aztec:1: 9" in result.stdout
+
+
+def test_module_entry_point_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["latticerect", "count", "aztec:1"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("latticerect", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == "aztec:1: 9\n"
 
 
 @pytest.mark.parametrize("argv,code", [(["oeis", "--terms", "1"], 0), (["count", "aztec:0"], 2)])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from latticerect import (OEIS_IDS, SequenceId, aztec, aztec_half,
                          biscuit_half, biscuit_half_rects, biscuit_rects,
                          build, count_naive, evaluate, staircase,
                          staircase_rects)
+from latticerect import formulas
 
 SEQUENCES = {
     SequenceId.STAIRCASE: [1, 5, 15, 35, 70, 126, 210, 330, 495, 715],
@@ -111,3 +113,15 @@ def test_oeis_id_mapping():
     assert OEIS_IDS[SequenceId.AZTEC] == "A330805"
     assert OEIS_IDS[SequenceId.BISCUIT] == "A213840"
     assert SequenceId.STAIRCASE not in OEIS_IDS
+
+
+def test_form_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(formulas, "binomial", lambda n, k: math.comb(n, k) + 1)
+    with pytest.raises(RuntimeError, match=r"aztec_half_rects\(3\)"):
+        aztec_half_rects(3)
+
+
+@pytest.mark.parametrize("half", [aztec_half_rects, biscuit_half_rects])
+def test_half_counts_refuse_a_negative_order(half):
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        half(-1)

@@ -210,6 +210,16 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     assert fetch("A213840", source="cache").terms == ((1, 1),)
 
 
+@pytest.mark.parametrize("cache_env", [None, ""])
+def test_cache_dir_falls_back_to_home(tmp_path, monkeypatch, cache_env):
+    if cache_env is None:
+        monkeypatch.delenv("LATTICERECT_OEIS_CACHE", raising=False)
+    else:
+        monkeypatch.setenv("LATTICERECT_OEIS_CACHE", cache_env)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert default_cache_dir() == tmp_path / ".cache" / "latticerect"
+
+
 def test_url_env_override(monkeypatch):
     monkeypatch.setenv("LATTICERECT_OEIS_URL", "http://example.invalid/oeis/")
     assert bfile_url("A004320") == "http://example.invalid/oeis/A004320/b004320.txt"
