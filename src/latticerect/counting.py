@@ -1,8 +1,8 @@
 """Exact lattice-rectangle counts inside a cell region, three independent ways.
 
 ``count_naive`` is the oracle: it tests every candidate rectangle in the
-bounding box for fullness against a 2D prefix-sum table, all of one band
-height per numpy step, still O(W^2 H^2) work.
+bounding box once for fullness against a 2D prefix-sum table, a chunk of
+bands per numpy step, still O(W^2 H^2) work.
 The rest use row-convexity: rows c..d-1 contain exactly the rectangles whose
 columns lie in ``[max lo, min hi)`` of those rows.  ``count_fast`` sums
 C(w+1, 2) over the non-empty bands: those inside 32-row leaves by the band
@@ -49,34 +49,40 @@ def classify(rect: LatticeRect, axis: Axis) -> CrossingClass:
     return CrossingClass.LEFT if a + b < dx else CrossingClass.RIGHT
 
 
-#: count_naive compares about this many (a, b) pairs per numpy step, one row at least.
-_NAIVE_CHUNK = 2**20
+#: count_naive holds about this many band-column differences per numpy chunk, one band at least.
+_NAIVE_CHUNK = 2**16
 
 
 def count_naive(region: CellRegion) -> int:
-    """Oracle count: try every (a, b) x (c, d) in the bounding box, a band height per step.
+    """Oracle count: test each (a, b) x (c, d) in the bounding box once, a chunk of bands a step.
 
-    P[r, i] counts the cells in rows < r and columns < i, box-relative.  For band
-    height k, S[c, i] = P[c + k, i] - P[c, i] - k * i is minus the cells missing
-    from rows c..c+k-1 left of column i, so those rows hold columns a..b-1
-    exactly when S[c, a] == S[c, b]; every pair of a row of S is compared.
+    M[i, r] counts the cells missing from rows < r left of column i, box-relative, and
+    S[i] = M[i, d] - M[i, c]: rows c..d-1 hold columns a..b-1 exactly when S[a] == S[b].
+    A chunk holds one band's S per column, height by height, and compares rows g = b - a apart.
     """
     import numpy as np
     if region.is_empty:
         return 0
-    box = region.bounding_box()
-    lo, hi = np.array([(lo - box.a, hi - box.a) for _, lo, hi in region.rows()]).T
+    box, height = region.bounding_box(), region.height
+    lo, hi = np.array([(lo - box.a, hi - box.a) for _, lo, hi in region.rows()]).T[..., None]
     cols = np.arange(box.width + 1)
-    table = np.zeros((region.height + 1, cols.size), np.int64)
-    np.cumsum(np.clip(cols, lo[:, None], hi[:, None]) - lo[:, None], axis=0, out=table[1:])
-    rows = max(1, _NAIVE_CHUNK // cols.size**2)
-    pairs = 0  # equal (a, b) pairs with a != b, each counted both ways
-    for k in range(1, region.height + 1):
-        short = table[k:] - table[:-k] - k * cols
-        for start in range(0, len(short), rows):
-            part = short[start:start + rows]
-            pairs += int(np.count_nonzero(part[:, :, None] == part[:, None, :])) - part.size
-    return pairs // 2
+    missing = np.zeros((cols.size, height + 1), np.int64)
+    np.cumsum(cols + lo - np.clip(cols, lo, hi), axis=0, out=missing[:, 1:].T)
+    bands = min(height * (height + 1) // 2, max(1, _NAIVE_CHUNK // cols.size))
+    chunk = np.empty((cols.size, bands), np.int64)
+    total = filled = 0
+    for k in range(1, height + 1):
+        c = 0
+        while c <= height - k:  # the height-k bands from top row c on, up to a full chunk
+            n = min(height - k + 1 - c, bands - filled)
+            np.subtract(missing[:, c + k:c + k + n], missing[:, c:c + n],
+                        out=chunk[:, filled:filled + n])
+            c, filled = c + n, filled + n
+            if filled == bands or k == height:
+                part, filled = chunk[:, :filled], 0
+                total += sum(int(np.count_nonzero(part[g:] == part[:-g]))
+                             for g in range(1, cols.size))
+    return total
 
 
 def _row_bands(region: CellRegion) -> Iterator[tuple[int, int, int, int]]:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_row_convex, symmetries
-from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, aztec,
+from latticerect import counting
+from latticerect import (Axis, CellRegion, CrossingClass, Family, LatticeRect, aztec,
                          aztec_half, biscuit, biscuit_half, build, classify,
                          count_breakdown, count_fast, count_formula, count_naive,
                          parse_shape_spec, rectangles, staircase,
@@ -44,8 +45,8 @@ def test_count_naive_at_far_offsets(spec):
 
 
 def test_count_naive_compares_in_bounded_chunks():
-    # about 1.2 MiB traced in chunks of about 2**20 booleans; comparing all 30
-    # rows of 301 columns at once holds 2.7 MB of booleans, 2.9 MiB traced
+    # about 0.76 MiB traced, in chunks of about 2**16 int64 band differences:
+    # 217 of the 465 bands, 301 columns each
     tracemalloc.start()
     try:
         assert count_naive(CellRegion(0, ((0, 300),) * 30)) == _grid_count(300, 30)
@@ -53,6 +54,37 @@ def test_count_naive_compares_in_bounded_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_count_naive_on_a_tall_column():
+    # 2001000 bands of 2 columns: a buffer of every band would hold 32 MB
+    tracemalloc.start()
+    try:
+        assert count_naive(CellRegion(0, ((0, 1),) * 2000)) == _grid_count(1, 2000) == 2001000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_count_naive_needs_no_fast_path_code(monkeypatch):
+    def unused(*args):
+        raise AssertionError("count_naive called into the fast path")
+
+    for name in ("_row_bands", "_bands", "_box_spans", "_crossing_bands"):
+        monkeypatch.setattr(counting, name, unused)
+    assert count_naive(build(parse_shape_spec("aztec:5"))) == 855
+    for family in Family:
+        for n in range(1, 7):
+            spec = parse_shape_spec(f"{family.value}:{n}")
+            assert count_naive(build(spec)) == count_formula(spec)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_count_naive_over_many_chunks(family):
+    # aztec:40 alone holds 80 * 81 / 2 bands of 81 columns, 262440 differences
+    spec = parse_shape_spec(f"{family.value}:40")
+    assert count_naive(build(spec)) == count_formula(spec)
 
 
 def test_count_fast_examples():

@@ -10,7 +10,9 @@ only the package's, ``latticerect.*.cover``, are read. Each line those files
 mark as never run is printed as ``file:line: text``. The exit status is 1 if
 tier-1 fails, if a module is never imported, or if a never-run line is missing
 from ``ALLOWED``; otherwise 0. It is slower than a plain tier-1 run, so it runs
-on demand and is not itself a test.
+on demand and is not itself a test. Hypothesis runs with the fixed seed
+``HYPOTHESIS_SEED``, so the property tests draw the same examples each run and
+the listed lines do not change from one run to the next.
 """
 from __future__ import annotations
 
@@ -23,6 +25,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "latticerect"
 #: The ``trace`` prefix of a line that could run and never did.
 MISSED = ">>>>>> "
+
+#: Passed as ``--hypothesis-seed``: the same drawn examples, so the same lines run.
+HYPOTHESIS_SEED = 0
 
 #: (file name in ``src/latticerect``, stripped line text) -> why no tier-1 test runs it.
 ALLOWED: dict[tuple[str, str], str] = {}
@@ -37,7 +42,7 @@ def run_traced(coverdir: Path) -> int:
 
     tracer = trace.Trace(count=1, trace=0)
     args = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-            f"--rootdir={ROOT}", str(ROOT / "tests")]
+            f"--hypothesis-seed={HYPOTHESIS_SEED}", f"--rootdir={ROOT}", str(ROOT / "tests")]
     scope = {"pytest": pytest, "args": args}
     tracer.runctx("status = pytest.main(args)", scope, scope)  # threads are traced too
     tracer.results().write_results(show_missing=True, summary=False, coverdir=str(coverdir))
