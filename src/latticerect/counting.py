@@ -64,7 +64,7 @@ def count_naive(region: CellRegion) -> int:
     if region.is_empty:
         return 0
     box, height = region.bounding_box(), region.height
-    lo, hi = np.array([(lo - box.a, hi - box.a) for _, lo, hi in region.rows()]).T[..., None]
+    lo, hi = np.array([(lo - box.a, hi - box.a) for lo, hi in region.spans]).T[..., None]
     cols = np.arange(box.width + 1)
     missing = np.zeros((cols.size, height + 1), np.int64)
     np.cumsum(cols + lo - np.clip(cols, lo, hi), axis=0, out=missing[:, 1:].T)

@@ -88,8 +88,9 @@ class Axis:
     half: bool = False
 
     def __post_init__(self):
-        if _integer(self.x0) is None:
+        if (x0 := _integer(self.x0)) is None:
             raise ShapeError(f"axis position must be an integer, got {self.x0!r}")
+        object.__setattr__(self, "x0", x0)
         if not isinstance(self.half, bool):
             raise ShapeError(f"axis half must be a bool, got {self.half!r}")
 
@@ -99,7 +100,9 @@ class Axis:
         return 2 * self.x0 + (1 if self.half else 0)
 
     def __str__(self) -> str:
-        return f"x={self.x0}.5" if self.half else f"x={self.x0}"
+        if self.half:  # double_x / 2, exact at any size: no float
+            return f"x={'-' if self.x0 < 0 else ''}{abs(self.double_x) // 2}.5"
+        return f"x={self.x0}"
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,13 @@ class CellRegion:
     spans: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if (row0 := _integer(self.row0)) is None:
+            raise ShapeError(f"row0 and span bounds must be integers, got row0 {self.row0!r}")
+        object.__setattr__(self, "row0", row0 if self.spans else 0)
         try:
-            if index(self.row0) and not self.spans:
-                object.__setattr__(self, "row0", 0)
-            for k, (lo, hi) in enumerate(self.spans):
+            for k, (lo, hi) in enumerate(self.spans, row0):
                 if index(lo) >= index(hi):
-                    raise ShapeError(f"empty interval [{lo},{hi}) in row {self.row0 + k}")
+                    raise ShapeError(f"empty interval [{lo},{hi}) in row {k}")
         except TypeError:
             raise ShapeError("row0 and span bounds must be integers") from None
 
@@ -135,13 +139,8 @@ class CellRegion:
     def cell_count(self) -> int:
         return sum(hi - lo for lo, hi in self.spans)
 
-    def rows(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (row index, lo, hi) from bottom to top."""
-        for k, (lo, hi) in enumerate(self.spans):
-            yield (self.row0 + k, lo, hi)
-
     def cells(self) -> Iterator[tuple[int, int]]:
-        for j, lo, hi in self.rows():
+        for j, (lo, hi) in enumerate(self.spans, self.row0):
             for i in range(lo, hi):
                 yield (i, j)
 

@@ -25,7 +25,7 @@ def render_ascii(region: CellRegion, axis: Optional[Axis] = None) -> str:
             cut = pos
     gap, cell = "." * cell_w, "#" * cell_w
     lines = []
-    for _, lo, hi in reversed(list(region.rows())):
+    for lo, hi in reversed(region.spans):
         line = gap * (lo - box.a) + cell * (hi - lo) + gap * (box.b - hi)
         if cut is not None:
             line = line[:cut] + "|" + line[cut:]
@@ -47,12 +47,12 @@ def render_svg(region: CellRegion, axis: Optional[Axis] = None) -> str:
         f'viewBox="-0.5 -0.5 {box.width + 1} {box.height + 1}">',
         '<g fill="#dde3f0" stroke="#30343c" stroke-width="0.05">',
     ]
-    for y, (_, lo, hi) in enumerate(reversed(list(region.rows()))):  # SVG y grows down
+    for y, (lo, hi) in enumerate(reversed(region.spans)):  # SVG y grows down
         for i in range(lo, hi):
             lines.append(f'<rect x="{i - box.a}" y="{y}" width="1" height="1"/>')
     lines.append("</g>")
     if axis is not None:
-        x = axis.double_x / 2 - box.a
+        x = (axis.double_x - 2 * box.a) / 2  # the offset first, exact for a far region
         lines.append(
             f'<line x1="{x:g}" y1="-0.5" x2="{x:g}" y2="{box.height + 0.5:g}" '
             'stroke="#c03020" stroke-width="0.06" stroke-dasharray="0.3 0.2"/>')

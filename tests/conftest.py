@@ -51,13 +51,13 @@ def symmetries(region: CellRegion) -> list[CellRegion]:
 
     The transposes need every column of the region to be one run of rows.
     """
-    rows = list(region.rows())
+    spans = region.spans
     columns = []
-    for i in range(min(lo for _, lo, _ in rows), max(hi for _, _, hi in rows)):
-        run = [j for j, lo, hi in rows if lo <= i < hi]
+    for i in range(min(lo for lo, _ in spans), max(hi for _, hi in spans)):
+        run = [j for j, (lo, hi) in enumerate(spans, region.row0) if lo <= i < hi]
         assert run == list(range(run[0], run[-1] + 1)), f"column {i} is not one run"
         columns.append((run[0], run[-1] + 1))
-    transpose = CellRegion(min(lo for _, lo, _ in rows), tuple(columns))
+    transpose = CellRegion(min(lo for lo, _ in spans), tuple(columns))
     flips = [(r, CellRegion(-r.row0 - r.height, r.spans[::-1])) for r in (region, transpose)]
     return [image for pair in flips for r in pair for image in (r, flip_x(r))]
 

@@ -11,7 +11,8 @@ from latticerect import (Axis, CellRegion, Corner, Family, LatticeRect, Part,
                          aztec_half, biscuit, biscuit_half, build,
                          parse_shape_spec, split_half,
                          split_staircases, staircase, vertical_axis)
-from latticerect import count_fast, count_naive
+from latticerect import (count_breakdown, count_fast, count_naive, rectangles,
+                         render_ascii, render_svg)
 
 VARIANTS = {v.value: v for kind in (Corner, Side, Part) for v in kind}
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,7 +27,7 @@ def normalized(region: CellRegion) -> CellRegion:
 
 
 def row_widths(region: CellRegion) -> list[int]:
-    return [hi - lo for _, lo, hi in region.rows()]
+    return [hi - lo for lo, hi in region.spans]
 
 
 # --- construction ---------------------------------------------------------
@@ -146,6 +147,8 @@ def test_build_placements_match_golden():
     (0, (("0", "2"),)),  # numpy would parse the strings
     (0.0, ((0, 2),)),
     (0.5, ()),
+    (True, ((0, 1),)),
+    (np.bool_(True), ((0, 1),)),
 ])
 def test_region_refuses_non_integer_coordinates(row0, spans):
     with pytest.raises(ShapeError, match="must be integers"):
@@ -186,6 +189,43 @@ def test_numpy_integers_are_coordinates():
     region = CellRegion(np.int64(-2), ((np.int32(0), np.int64(2)), (np.int64(1), 3)))
     assert count_fast(region) == count_naive(region) == 7
     assert Axis(np.int64(1), half=True).double_x == 3
+
+
+def test_numpy_integers_are_stored_as_ints():
+    for value, fields in [
+        (Axis(np.int64(-3), half=True), ("x0",)),
+        (CellRegion(np.int32(-2), ((0, 2),)), ("row0",)),
+        (CellRegion(np.int64(5), ()), ("row0",)),
+        (ShapeSpec(Family.AZTEC, np.uint16(3)), ("n",)),
+        (LatticeRect(np.int64(-3), np.int32(1), 0, np.uint8(1)), ("a", "b", "c", "d")),
+        (Quadruple(np.int64(0), np.int8(1), 2, np.uint64(3)), ("a", "b", "c", "d")),
+    ]:
+        assert all(type(getattr(value, name)) is int for name in fields), value
+
+
+def test_numpy_axis_counts_and_renders_a_far_region_as_an_int_axis():
+    region = build(aztec_half(2)).translate(10**30, 0)  # past int64: a numpy x0 would overflow
+    for half in (False, True):
+        plain, numpy_axis = Axis(7, half), Axis(np.int64(7), half)
+        assert count_breakdown(region, numpy_axis) == count_breakdown(region, plain)
+        assert render_ascii(region, numpy_axis) == render_ascii(region, plain)
+        assert render_svg(region, numpy_axis) == render_svg(region, plain)
+
+
+@pytest.mark.parametrize("spec", [biscuit(2), aztec_half(3)])
+def test_renders_do_not_move_with_a_far_region(spec):
+    axis, far = vertical_axis(spec), 10**20  # past a float's exact integers
+    region, moved = build(spec), build(spec, (far, 0))
+    for render in (render_ascii, render_svg):
+        assert render(moved, Axis(far + axis.x0, axis.half)) == render(region, axis)
+
+
+def test_numpy_row0_at_the_int64_limit_counts_as_an_int_row0():
+    top = 2**63 - 1  # row0 + 1 would wrap as an int64
+    region, plain = CellRegion(np.int64(top), ((0, 1),)), CellRegion(top, ((0, 1),))
+    assert list(rectangles(region)) == list(rectangles(plain)) == [LatticeRect(0, 1, top, top + 1)]
+    assert region.bounding_box() == plain.bounding_box()
+    assert count_naive(region) == count_fast(region) == 1
 
 
 # --- the rectangle value type ------------------------------------------------
@@ -428,6 +468,9 @@ def test_axis_positions():
     assert Axis(0, half=True).double_x == 1
     assert Axis(-2, half=True).double_x == -3
     assert str(Axis(0, half=True)) == "x=0.5"
+    assert str(Axis(-1, half=True)) == "x=-0.5"
+    assert str(Axis(-2, half=True)) == "x=-1.5"
+    assert str(Axis(10**30, half=True)) == f"x={10**30}.5"
 
 
 def test_vertical_axis_per_family():

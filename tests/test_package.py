@@ -24,5 +24,6 @@ def test_removed_names_stay_removed():
     for name in ("Dihedral", "transform", "format_bfile"):
         assert name not in latticerect.__all__ and not hasattr(latticerect, name)
     assert not hasattr(oeis, "format_bfile")
-    assert not any(hasattr(CellRegion, name) for name in ("from_cells", "row_span", "__contains__"))
+    assert not any(hasattr(CellRegion, name)
+                   for name in ("from_cells", "row_span", "__contains__", "rows"))
     assert not hasattr(LatticeRect, "cells")
