@@ -189,20 +189,19 @@ def cmd_oeis(args) -> tuple[dict, str, int]:
            else list(oeis.SEQUENCE_FOR_ID))
     if args.terms < 1:
         raise CommandError(EXIT_USAGE, f"--terms must be >= 1, got {args.terms}")
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
 
     def check(sequence_id):
         seq = oeis.SEQUENCE_FOR_ID[sequence_id]
         family = Family[seq.name].value
         try:
             result = oeis.check(sequence_id, seq, args.terms,
-                                source=args.source, cache_dir=cache_dir)
+                                source=args.source, cache_dir=args.cache_dir)
         except oeis.FetchError as err:
             raise CommandError(EXIT_EXTERNAL, str(err)) from None
         except ValueError as err:
             raise CommandError(EXIT_USAGE, str(err)) from None
         except OSError as err:  # the b-file cache, as in render --out
-            where = cache_dir or oeis.default_cache_dir()
+            where = Path(args.cache_dir or oeis.default_cache_dir())
             raise CommandError(EXIT_USAGE, f"cannot write {where}: {err.strerror}") from None
         entry = {
             "sequence_id": sequence_id,

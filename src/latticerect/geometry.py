@@ -121,11 +121,22 @@ class CellRegion:
             raise ShapeError(f"row0 and span bounds must be integers, got row0 {self.row0!r}")
         object.__setattr__(self, "row0", row0 if self.spans else 0)
         try:
+            if type(self.spans) is tuple:  # int pairs, the common case, are kept as given
+                for lo, hi in self.spans:
+                    if not type(lo) is type(hi) is int or lo >= hi:
+                        break
+                else:
+                    return
+            spans = []
             for k, (lo, hi) in enumerate(self.spans, row0):
-                if index(lo) >= index(hi):
+                if (lo := _integer(lo)) is None or (hi := _integer(hi)) is None:
+                    raise TypeError
+                if lo >= hi:
                     raise ShapeError(f"empty interval [{lo},{hi}) in row {k}")
+                spans.append((lo, hi))
         except TypeError:
             raise ShapeError("row0 and span bounds must be integers") from None
+        object.__setattr__(self, "spans", tuple(spans))
 
     @property
     def is_empty(self) -> bool:

@@ -9,7 +9,6 @@ falls back to a warm cache when it fails).
 """
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import tempfile
@@ -45,19 +44,16 @@ class BFileError(ValueError):
 class BFile:
     """Parsed b-file: ordered (index, value) terms with strictly increasing indices."""
 
-    sequence_id: Optional[str]
     terms: tuple[tuple[int, int], ...]
     source: Optional[str] = field(default=None, compare=False)
 
 
-def parse_bfile(text: str, sequence_id: Optional[str] = None) -> BFile:
+def parse_bfile(text: str) -> BFile:
     """Parse b-file text: ``<index> <value>`` lines, blank lines, # comments.
 
     Each field is ASCII ``-?[0-9]+``.  Anything else is an error carrying its line
     number, as is a non-increasing index column.
     """
-    if sequence_id is not None and not _ID_RE.match(sequence_id):
-        raise ValueError(f"bad OEIS id {sequence_id!r}")
     terms = []
     last_index = None
     for num, raw in enumerate(text.splitlines(), 1):
@@ -74,7 +70,7 @@ def parse_bfile(text: str, sequence_id: Optional[str] = None) -> BFile:
             raise BFileError(f"line {num}: index {index} does not increase past {last_index}")
         last_index = index
         terms.append((index, value))
-    return BFile(sequence_id, tuple(terms))
+    return BFile(tuple(terms))
 
 
 def default_cache_dir() -> Path:
@@ -100,13 +96,6 @@ def _download(url: str) -> str:
         raise FetchError(f"download failed for {url}: {err}") from None
 
 
-def _fixture_text(sequence_id: str) -> str:
-    path = resources.files(__package__).joinpath("fixtures", f"{sequence_id}.bfile")
-    if not path.is_file():
-        raise FetchError(f"no bundled reference terms for {sequence_id}")
-    return path.read_text(encoding="utf-8")
-
-
 def fetch(sequence_id: str, source: str = "fixture", cache_dir: Optional[Path] = None) -> BFile:
     """Retrieve a b-file from one of :data:`SOURCES`, by default the bundled fixture.
 
@@ -120,33 +109,34 @@ def fetch(sequence_id: str, source: str = "fixture", cache_dir: Optional[Path] =
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}; expected one of {SOURCES}")
     if source == "fixture":
-        bfile = parse_bfile(_fixture_text(sequence_id), sequence_id)
-        return dataclasses.replace(bfile, source="fixture")
-    cache_file = Path(cache_dir or default_cache_dir()) / f"{sequence_id}.bfile"
-    failure = FetchError(f"no cached b-file at {cache_file}")
+        path = resources.files(__package__).joinpath("fixtures", f"{sequence_id}.bfile")
+        failure = FetchError(f"no bundled reference terms for {sequence_id}")
+    else:
+        path = Path(cache_dir or default_cache_dir()) / f"{sequence_id}.bfile"
+        failure = FetchError(f"no cached b-file at {path}")
     if source == "network":
         try:
             text = _download(bfile_url(sequence_id))
         except FetchError as err:
-            failure = err  # reported only if the cache is cold too
-        else:
-            bfile = parse_bfile(text, sequence_id)  # validate before caching
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            # a unique scratch file: concurrent fetches never share one, and
-            # readers never see a partial cache file
-            fd, scratch = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                os.replace(scratch, cache_file)
-            except BaseException:
-                os.unlink(scratch)
-                raise
-            return dataclasses.replace(bfile, source="network")
-    if not cache_file.is_file():
-        raise failure
-    bfile = parse_bfile(cache_file.read_text(encoding="utf-8"), sequence_id)
-    return dataclasses.replace(bfile, source="cache")
+            failure, source = err, "cache"  # reported only if the cache is cold too
+    if source != "network":
+        if not path.is_file():
+            raise failure
+        text = path.read_text(encoding="utf-8")
+    terms = parse_bfile(text).terms
+    if source == "network":  # cached only once the download parses
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # a unique scratch file: concurrent fetches never share one, and
+        # readers never see a partial cache file
+        fd, scratch = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(scratch, path)
+        except BaseException:
+            os.unlink(scratch)
+            raise
+    return BFile(terms, source)
 
 
 @dataclass(frozen=True)
@@ -157,8 +147,6 @@ class SeqCheckReport:
     disagreeing n, or None when every term in the checked range matches.
     """
 
-    sequence_id: str
-    checked_range: tuple[int, int]
     matches: int
     first_mismatch: Optional[tuple[int, int, int]]
     source: str
@@ -199,5 +187,4 @@ def check(sequence_id: str, seq: SequenceId, n_max: int,
             matches += 1
         elif first_mismatch is None:
             first_mismatch = (n, reference, computed)
-    return SeqCheckReport(sequence_id=sequence_id, checked_range=(1, last), matches=matches,
-                          first_mismatch=first_mismatch, source=bfile.source)
+    return SeqCheckReport(matches, first_mismatch, bfile.source)

@@ -149,6 +149,7 @@ def test_build_placements_match_golden():
     (0.5, ()),
     (True, ((0, 1),)),
     (np.bool_(True), ((0, 1),)),
+    (0, ((False, True), (0, 2))),  # it used to build and count 5
 ])
 def test_region_refuses_non_integer_coordinates(row0, spans):
     with pytest.raises(ShapeError, match="must be integers"):
@@ -226,6 +227,20 @@ def test_numpy_row0_at_the_int64_limit_counts_as_an_int_row0():
     assert list(rectangles(region)) == list(rectangles(plain)) == [LatticeRect(0, 1, top, top + 1)]
     assert region.bounding_box() == plain.bounding_box()
     assert count_naive(region) == count_fast(region) == 1
+
+
+def test_list_spans_are_stored_as_a_tuple_of_int_pairs():
+    listed, plain = CellRegion(0, [[0, 2], [1, 3]]), CellRegion(0, ((0, 2), (1, 3)))
+    assert listed == plain and hash(listed) == hash(plain)  # a list made hash() raise
+    assert listed.spans == ((0, 2), (1, 3)) and type(listed.spans[0]) is tuple
+
+
+def test_numpy_span_bounds_at_the_int64_limit_count_as_int_bounds():
+    lo, hi = 2**63 - 3, 2**63 - 1  # hi + 1 would wrap as an int64
+    region = CellRegion(0, ((np.int64(lo), np.int64(hi)),))
+    assert region == CellRegion(0, ((lo, hi),))
+    assert all(type(bound) is int for bound in region.spans[0])
+    assert len(list(rectangles(region))) == count_fast(region) == 3
 
 
 # --- the rectangle value type ------------------------------------------------

@@ -245,7 +245,7 @@ def test_build_gives_the_cells_of_the_inequalities(case):
 
 @given(st.dictionaries(st.integers(-10**6, 10**30), st.integers(-10**40, 10**40)))
 def test_bfile_text_roundtrip(terms):
-    bfile = BFile(None, tuple(sorted(terms.items())))
+    bfile = BFile(tuple(sorted(terms.items())))
     assert parse_bfile("".join(f"{i} {v}\n" for i, v in bfile.terms)) == bfile
 
 
