@@ -3,39 +3,39 @@ staircases, and their halves: shape construction, three independent counting
 routes (brute-force oracle, row-band kernel, closed forms), the rectangle
 bijections behind the closed forms, and OEIS cross-checks.
 """
+import importlib
 
 __version__ = "0.1.0"
 
-from .bijections import (BijectionReport, Quadruple, anchor_centered,
-                         expand_to_aztec_half, fold_left_heavy,
-                         quadruple_to_staircase, shrink_to_biscuit_half,
-                         staircase_to_quadruple, unanchor_centered,
-                         unfold_left_heavy, verify_bijection)
-from .counting import (CountBreakdown, CrossingClass, classify,
-                       count_breakdown, count_fast, count_formula,
-                       count_naive, rectangles)
-from .formulas import (OEIS_IDS, SequenceId, aztec_half_rects, aztec_rects,
-                       binomial, biscuit_half_rects, biscuit_rects, evaluate,
-                       staircase_rects)
-from .geometry import (Axis, CellRegion, Corner, Family, LatticeRect, Part,
-                       ShapeError, ShapeSpec, Side, aztec, aztec_half, biscuit,
-                       biscuit_half, build, parse_shape_spec, split_half,
-                       split_staircases, staircase, vertical_axis)
-from .oeis import BFile, SeqCheckReport, check, fetch, parse_bfile
-from .render import render_ascii, render_svg
+#: Each public name's home module, which ``__getattr__`` imports on the name's first use.
+_HOMES = {name: module for module, names in {
+    "bijections": ("BijectionReport", "Quadruple", "anchor_centered", "expand_to_aztec_half",
+                   "fold_left_heavy", "quadruple_to_staircase", "shrink_to_biscuit_half",
+                   "staircase_to_quadruple", "unanchor_centered", "unfold_left_heavy",
+                   "verify_bijection"),
+    "counting": ("CountBreakdown", "CrossingClass", "classify", "count_breakdown",
+                 "count_fast", "count_formula", "count_naive", "rectangles"),
+    "formulas": ("OEIS_IDS", "SequenceId", "aztec_half_rects", "aztec_rects", "binomial",
+                 "biscuit_half_rects", "biscuit_rects", "evaluate", "staircase_rects"),
+    "geometry": ("Axis", "CellRegion", "Corner", "Family", "LatticeRect", "Part", "ShapeError",
+                 "ShapeSpec", "Side", "aztec", "aztec_half", "biscuit", "biscuit_half", "build",
+                 "parse_shape_spec", "split_half", "split_staircases", "staircase",
+                 "vertical_axis"),
+    "oeis": ("BFile", "SeqCheckReport", "check", "fetch", "parse_bfile"),
+    "render": ("render_ascii", "render_svg"),
+}.items() for name in names}
 
-__all__ = [
-    "Axis", "BFile", "BijectionReport", "CellRegion", "Corner",
-    "CountBreakdown", "CrossingClass", "Family", "LatticeRect", "OEIS_IDS",
-    "Part", "Quadruple", "SeqCheckReport", "SequenceId", "ShapeError",
-    "ShapeSpec", "Side", "anchor_centered", "aztec", "aztec_half",
-    "aztec_half_rects", "aztec_rects", "binomial", "biscuit", "biscuit_half",
-    "biscuit_half_rects", "biscuit_rects", "build", "check", "classify",
-    "count_breakdown", "count_fast", "count_formula", "count_naive", "evaluate",
-    "expand_to_aztec_half", "fetch", "fold_left_heavy", "parse_bfile",
-    "parse_shape_spec", "quadruple_to_staircase", "rectangles", "render_ascii",
-    "render_svg", "shrink_to_biscuit_half", "split_half", "split_staircases",
-    "staircase", "staircase_rects", "staircase_to_quadruple",
-    "unanchor_centered", "unfold_left_heavy", "verify_bijection",
-    "vertical_axis",
-]
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    """Import a public name's home module, or a submodule itself, and keep the result."""
+    if name not in _HOMES and name not in _HOMES.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOMES.get(name, name)}", __name__)
+    value = globals()[name] = getattr(module, name) if name in _HOMES else module
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

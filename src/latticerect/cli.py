@@ -13,10 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, bijections, counting, formulas, oeis
+from . import __version__
 from .geometry import (Family, ShapeError, ShapeSpec, ascii_int, build, parse_shape_spec,
                        vertical_axis)
-from .render import render_ascii, render_svg
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,13 +30,19 @@ FAST_MAX_ORDER = 20000
 RENDER_MAX_ORDER = 1000
 _ORDER_GUARDS = {"naive": NAIVE_MAX_ORDER, "fast": FAST_MAX_ORDER}
 #: The ``--method`` routes that count a built region; ``formula`` counts from the spec.
-REGION_COUNTERS = {"naive": counting.count_naive, "fast": counting.count_fast}
+REGION_COUNTERS = {"naive": lambda region: _counting().count_naive(region),
+                   "fast": lambda region: _counting().count_fast(region)}
 COUNT_METHODS = (*REGION_COUNTERS, "formula")
 
 class CommandError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _counting():
+    from . import counting  # with the first count, not with the CLI
+    return counting
 
 
 def _parse_list(text: str, parse) -> list:
@@ -61,17 +66,23 @@ def _compare_routes(spec: ShapeSpec, methods, region, timing: dict) -> tuple[dic
     for method in methods:
         started = time.perf_counter()
         counter = REGION_COUNTERS.get(method)
-        counts[method] = counter(region) if counter else counting.count_formula(spec)
+        counts[method] = counter(region) if counter else _counting().count_formula(spec)
         timing[method] = _elapsed_ms(started)
     agree = len(set(counts.values())) == 1
     return counts, "" if agree else " ".join(f"{m}={v}" for m, v in counts.items())
 
 
 def cmd_count(args) -> tuple[dict, str, int]:
+    from . import counting  # here, so that no method's timer includes its import
     spec = parse_shape_spec(args.spec)
     methods = list(COUNT_METHODS) if args.method == "all" else [args.method]
     for method in filter(_ORDER_GUARDS.__contains__, methods):  # in order: the first is named
         _check_order(spec, _ORDER_GUARDS[method], f"{method}-method")
+    # a d-digit order counts at most 4d + 1 digits; 0 is no limit, and 3.10 < 3.10.7 has none
+    limit, digits = getattr(sys, "get_int_max_str_digits", lambda: 0)(), len(str(spec.n))
+    if "formula" in methods and 0 < limit < 4 * digits + 1:
+        raise CommandError(EXIT_USAGE, f"a {digits}-digit order exceeds the formula guard: "
+                           f"its count may pass Python's {limit}-digit int string limit")
     timing = {}
     region = None
     if any(method in REGION_COUNTERS for method in methods):
@@ -101,16 +112,6 @@ def cmd_count(args) -> tuple[dict, str, int]:
     return report, f"{spec}: {counts[methods[0]]}{suffix}", EXIT_OK
 
 
-def _parse_family(token: str) -> formulas.SequenceId:
-    key = token.strip().lower()
-    for seq in formulas.SequenceId:
-        if key in (seq.value, Family[seq.name].value):
-            return seq
-    choices = ", ".join([seq.value for seq in formulas.SequenceId]
-                        + [Family[seq.name].value for seq in formulas.SequenceId])
-    raise CommandError(EXIT_USAGE, f"unknown family {token!r} (choices: {choices})")
-
-
 def _check_max_n(max_n: int, limit: int) -> None:
     if not 1 <= max_n <= limit:
         raise CommandError(EXIT_USAGE, f"--max-n must be in 1..{limit}, got {max_n}")
@@ -128,9 +129,20 @@ def _check_each(items, check) -> tuple[list, list[str], int]:
 
 
 def cmd_verify(args) -> tuple[dict, str, int]:
+    from .formulas import SequenceId
+
+    def parse_family(token: str) -> SequenceId:
+        key = token.strip().lower()
+        for seq in SequenceId:
+            if key in (seq.value, Family[seq.name].value):
+                return seq
+        choices = ", ".join([seq.value for seq in SequenceId]
+                            + [Family[seq.name].value for seq in SequenceId])
+        raise CommandError(EXIT_USAGE, f"unknown family {token!r} (choices: {choices})")
+
     _check_max_n(args.max_n, NAIVE_MAX_ORDER)
-    families = (_parse_list(args.families, _parse_family) if args.families is not None
-                else list(formulas.SequenceId))
+    families = (_parse_list(args.families, parse_family) if args.families is not None
+                else list(SequenceId))
 
     def check(seq):
         family = Family[seq.name]
@@ -152,6 +164,7 @@ def cmd_verify(args) -> tuple[dict, str, int]:
 
 
 def cmd_bijections(args) -> tuple[dict, str, int]:
+    from . import bijections
     _check_max_n(args.max_n, bijections.MAX_VERIFY_ORDER)
     names = [args.map] if args.map else list(bijections.BIJECTION_NAMES)
 
@@ -175,17 +188,18 @@ def cmd_bijections(args) -> tuple[dict, str, int]:
     return report, "\n".join(lines), code
 
 
-def _parse_oeis_id(token: str) -> str:
-    sequence_id = token.strip().upper()
-    if sequence_id not in oeis.SEQUENCE_FOR_ID:
-        known = ", ".join(sorted(oeis.SEQUENCE_FOR_ID))
-        raise CommandError(
-            EXIT_USAGE, f"{sequence_id!r} is not a supported OEIS id (known: {known})")
-    return sequence_id
-
-
 def cmd_oeis(args) -> tuple[dict, str, int]:
-    ids = (_parse_list(args.ids, _parse_oeis_id) if args.ids is not None
+    from . import oeis
+
+    def parse_oeis_id(token: str) -> str:
+        sequence_id = token.strip().upper()
+        if sequence_id not in oeis.SEQUENCE_FOR_ID:
+            known = ", ".join(sorted(oeis.SEQUENCE_FOR_ID))
+            raise CommandError(
+                EXIT_USAGE, f"{sequence_id!r} is not a supported OEIS id (known: {known})")
+        return sequence_id
+
+    ids = (_parse_list(args.ids, parse_oeis_id) if args.ids is not None
            else list(oeis.SEQUENCE_FOR_ID))
     if args.terms < 1:
         raise CommandError(EXIT_USAGE, f"--terms must be >= 1, got {args.terms}")
@@ -225,6 +239,7 @@ def cmd_oeis(args) -> tuple[dict, str, int]:
 
 
 def cmd_render(args) -> tuple[dict, str, int]:
+    from .render import render_ascii, render_svg
     spec = parse_shape_spec(args.spec)
     _check_order(spec, RENDER_MAX_ORDER, "render")
     axis = vertical_axis(spec) if args.axis else None
@@ -247,7 +262,8 @@ def cmd_render(args) -> tuple[dict, str, int]:
     return report, f"wrote {args.out}", EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every command is listed, but only ``command`` gets its arguments: only its modules load."""
     parser = argparse.ArgumentParser(
         prog="latticerect",
         description="Exact lattice-rectangle counting in Aztec diamonds, "
@@ -255,58 +271,60 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, handler):
         sp.add_argument("--json", action="store_true",
                         help="emit a JSON report (keys sorted)")
         sp.add_argument("--no-timing", action="store_true",
                         help="omit timing fields for byte-deterministic output")
+        sp.set_defaults(handler=handler)
 
     count = sub.add_parser("count", help="count lattice rectangles in one shape")
-    count.add_argument("spec", help="shape spec, e.g. aztec:5, staircase:3:ul")
-    count.add_argument("--method", choices=COUNT_METHODS + ("all",),
-                       default="fast", help="counting route (all = cross-check)")
-    common(count)
-    count.set_defaults(handler=cmd_count)
+    if command == "count":
+        count.add_argument("spec", help="shape spec, e.g. aztec:5, staircase:3:ul")
+        count.add_argument("--method", choices=COUNT_METHODS + ("all",),
+                           default="fast", help="counting route (all = cross-check)")
+        common(count, cmd_count)
 
     verify = sub.add_parser(
         "verify", help="sweep naive/fast/formula agreement over all families")
-    verify.add_argument("--max-n", type=ascii_int, default=10,
-                        help=f"top order per family (1..{NAIVE_MAX_ORDER})")
-    verify.add_argument("--families",
-                        help="comma list: s, ah, bh, a, b or family names")
-    common(verify)
-    verify.set_defaults(handler=cmd_verify)
+    if command == "verify":
+        verify.add_argument("--max-n", type=ascii_int, default=10,
+                            help=f"top order per family (1..{NAIVE_MAX_ORDER})")
+        verify.add_argument("--families",
+                            help="comma list: s, ah, bh, a, b or family names")
+        common(verify, cmd_verify)
 
     bij = sub.add_parser(
         "bijections", help="exhaustively verify the rectangle bijections")
-    bij.add_argument("--max-n", type=ascii_int, default=8,
-                     help=f"top order (1..{bijections.MAX_VERIFY_ORDER})")
-    bij.add_argument("--map", choices=bijections.BIJECTION_NAMES,
-                     help="verify a single map")
-    common(bij)
-    bij.set_defaults(handler=cmd_bijections)
+    if command == "bijections":
+        from .bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER
+        bij.add_argument("--max-n", type=ascii_int, default=8,
+                         help=f"top order (1..{MAX_VERIFY_ORDER})")
+        bij.add_argument("--map", choices=BIJECTION_NAMES, help="verify a single map")
+        common(bij, cmd_bijections)
 
     oeis_cmd = sub.add_parser(
         "oeis", help="compare the closed forms against OEIS reference terms")
-    oeis_cmd.add_argument("--ids", help="comma list of OEIS ids (default: all four)")
-    oeis_cmd.add_argument("--terms", type=ascii_int, default=20,
-                          help="number of terms to compare from n=1")
-    oeis_cmd.add_argument("--source", choices=oeis.SOURCES, default="fixture",
-                          help="term source: bundled fixtures, local cache, or network")
-    oeis_cmd.add_argument("--cache-dir",
-                          help="override the b-file cache directory "
-                               "(default: $LATTICERECT_OEIS_CACHE or ~/.cache/latticerect)")
-    common(oeis_cmd)
-    oeis_cmd.set_defaults(handler=cmd_oeis)
+    if command == "oeis":
+        from .oeis import SOURCES
+        oeis_cmd.add_argument("--ids", help="comma list of OEIS ids (default: all four)")
+        oeis_cmd.add_argument("--terms", type=ascii_int, default=20,
+                              help="number of terms to compare from n=1")
+        oeis_cmd.add_argument("--source", choices=SOURCES, default="fixture",
+                              help="term source: bundled fixtures, local cache, or network")
+        oeis_cmd.add_argument("--cache-dir",
+                              help="override the b-file cache directory "
+                                   "(default: $LATTICERECT_OEIS_CACHE or ~/.cache/latticerect)")
+        common(oeis_cmd, cmd_oeis)
 
     render = sub.add_parser("render", help="draw a shape as ASCII or SVG")
-    render.add_argument("spec", help="shape spec, e.g. biscuit:2")
-    render.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    render.add_argument("--axis", action="store_true",
-                        help="overlay the vertical symmetry axis")
-    render.add_argument("--out", help="write to a file instead of stdout")
-    common(render)
-    render.set_defaults(handler=cmd_render)
+    if command == "render":
+        render.add_argument("spec", help="shape spec, e.g. biscuit:2")
+        render.add_argument("--format", choices=("ascii", "svg"), default="ascii")
+        render.add_argument("--axis", action="store_true",
+                            help="overlay the vertical symmetry axis")
+        render.add_argument("--out", help="write to a file instead of stdout")
+        common(render, cmd_render)
     return parser
 
 
@@ -315,7 +333,9 @@ def main(argv=None) -> int:
 
     A ShapeError from a malformed spec or an impossible request is a usage error.
     """
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes the first positional as the command; no top-level option takes a value
+    args = _build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     started = time.perf_counter()
     try:
         report, text, code = args.handler(args)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import refuse_type_l_forward, refuse_type_l_inverse
 import latticerect
-from latticerect import Family, LatticeRect, SequenceId, bijections, cli, evaluate
+from latticerect import (Family, LatticeRect, SequenceId, bijections, cli, counting, evaluate,
+                         staircase_rects)
 from latticerect.cli import entry_point, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -178,6 +179,45 @@ def test_count_fast_guard_fails_before_building(capsys):
     assert out == ""
     assert time.perf_counter() - started < 1.0
     assert run(capsys, "count", "aztec:10000000", "--method", "formula")[0] == 0
+
+
+@pytest.fixture
+def int_max_str_digits():
+    """``sys.set_int_max_str_digits`` for one test; the old limit comes back after it."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit")
+@pytest.mark.parametrize("extra", [[], ["--json", "--no-timing"]])
+@pytest.mark.parametrize("limit,digits,code", [(4300, 1074, 0), (4300, 1075, 2), (0, 1080, 0)])
+def test_count_formula_guard_refuses_a_count_past_the_int_string_limit(
+        capsys, monkeypatch, int_max_str_digits, extra, limit, digits, code):
+    # a d-digit order counts at most 4d + 1 digits; 1080 digits exited 1 with a ValueError
+    int_max_str_digits(limit)
+    evaluated = []
+    monkeypatch.setattr(counting, "count_formula",
+                        lambda spec, count=counting.count_formula: evaluated.append(spec) or count(spec))
+    n = int("9" * digits)
+    result = run(capsys, "count", f"staircase:{n}", "--method", "formula", *extra)
+    if code:
+        assert result == (2, "", f"error: a {digits}-digit order exceeds the formula guard: its "
+                                 f"count may pass Python's {limit}-digit int string limit\n")
+        assert evaluated == []
+    elif extra:
+        assert (result[0], json.loads(result[1])["counts"]) == (0, {"formula": staircase_rects(n)})
+    else:
+        assert result == (0, f"staircase:{n}:dl: {staircase_rects(n)}\n", "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit")
+def test_count_formula_guard_reads_no_limit_where_python_has_none(
+        capsys, monkeypatch, int_max_str_digits):
+    # Python 3.10 before 3.10.7 has no int string limit and no sys.get_int_max_str_digits
+    int_max_str_digits(0)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run(capsys, "count", f"staircase:{'9' * 1080}", "--method", "formula")[0] == 0
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
@@ -590,6 +630,33 @@ def test_count_method_timers_leave_out_the_numpy_import():
     assert timing["fast"] < timing["numpy_import"]
 
 
+def loaded_modules(*argv):
+    """The latticerect modules, and numpy, loaded by a fresh process that runs ``main(argv)``."""
+    result = run_python("-c", "import contextlib, io, sys, latticerect.cli as cli\n"
+                        "if sys.argv[1:]:\n"
+                        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                        "        assert cli.main(sys.argv[1:]) == 0\n"
+                        "print(*sorted(m for m in sys.modules\n"
+                        "              if m == 'numpy' or m.split('.')[0] == 'latticerect'))",
+                        *argv)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_cli_import_loads_only_the_package_the_cli_and_geometry():
+    assert loaded_modules() == {"latticerect", "latticerect.cli", "latticerect.geometry"}
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    ("render aztec:2 --format svg", "counting formulas bijections oeis"),
+    ("oeis --terms 3", "counting bijections render"),
+    ("count aztec:3 --method formula", "bijections oeis render"),
+])
+def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
+    loaded = loaded_modules(*argv.split())
+    assert not loaded & {"numpy", *(f"latticerect.{name}" for name in unloaded.split())}
+
+
 def test_only_region_counts_load_numpy():
     # numpy is most of a cold start; bijections, oeis, render and formula counts skip it
     result = run_python("-c", "import contextlib, io, sys, latticerect, latticerect.cli as cli\n"
@@ -605,9 +672,11 @@ def test_only_region_counts_load_numpy():
 
 # --- exit-code contract over arbitrary argvs ------------------------------------------
 
-# Orders past every region guard (a formula count takes any) or not ASCII decimal;
+# Orders past every region guard, long ones around the formula guard (1075 digits at
+# Python's default int string limit) and the limit itself, or not ASCII decimal;
 # "٣" is an Arabic-Indic 3.
-BAD_ORDERS = ["0", "-1", "", " +4", "1_0", "1.5", "x", "٣", "20001", "10" * 16]
+BAD_ORDERS = ["0", "-1", "", " +4", "1_0", "1.5", "x", "٣", "20001", "10" * 16,
+              "9" * 1074, "9" * 1100, "9" * 4301]
 SPEC_FAMILIES = ["aztec", "biscuit", "staircase", "aztec-half", "biscuit-half", "AZTEC",
                  "nosuch", "", "äztec"]
 SPEC_VARIANTS = ["ul", "top", "left", "larger", "smaller", "zz", "", "TÖP"]

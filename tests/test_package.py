@@ -1,6 +1,11 @@
 """The package's public surface: what ``import latticerect`` exports."""
-import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import latticerect
 from latticerect import CellRegion, LatticeRect, oeis
@@ -13,11 +18,33 @@ def test_all_is_sorted_unique_and_resolves():
         assert getattr(latticerect, name) is not None
 
 
-def test_every_public_import_is_exported():
-    tree = ast.parse(Path(latticerect.__file__).read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert {name for name in imported if not name.startswith("_")} <= set(latticerect.__all__)
+def test_every_public_name_loads_from_its_home_module():
+    homes = latticerect._HOMES
+    assert sorted(homes) == latticerect.__all__
+    for name, home in homes.items():
+        module = importlib.import_module(f"latticerect.{home}")
+        assert getattr(latticerect, name) is getattr(module, name)
+        assert getattr(latticerect, home) is module
+    assert set(latticerect.__all__) <= set(dir(latticerect))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        latticerect.no_such_name
+
+
+def test_a_fresh_import_loads_each_module_on_first_use():
+    src = str(Path(latticerect.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = ("import sys, latticerect\n"
+              "loaded = lambda: sorted(m[12:] for m in sys.modules if m.startswith('latticerect.'))\n"
+              "print(loaded())\n"
+              "latticerect.oeis.check\n"
+              "print(loaded())\n"
+              "latticerect.render_svg\n"
+              "print(loaded(), 'render_svg' in vars(latticerect))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert (result.returncode, result.stdout.splitlines()) == (0, [
+        "[]", "['formulas', 'geometry', 'oeis']",
+        "['formulas', 'geometry', 'oeis', 'render'] True"])
 
 
 def test_removed_names_stay_removed():
