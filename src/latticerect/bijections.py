@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .counting import CrossingClass, _row_bands, classify, rectangles
-from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, _Four, _integer, aztec_half,
-                       biscuit_half, build, staircase, vertical_axis)
+from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, _Four, _integer, _Record,
+                       aztec_half, biscuit_half, build, staircase, vertical_axis)
 
 #: Exhaustive verification is guarded to small orders; domain sizes grow as n^4.
 MAX_VERIFY_ORDER = 20
@@ -145,18 +144,17 @@ def shrink_to_biscuit_half(rect: LatticeRect, n: int) -> LatticeRect:
     return LatticeRect(a + 1, b, c, d)
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(_Record):
     """Outcome of exhaustively verifying one map at one order."""
 
-    name: str
-    order: int
-    domain_size: int
-    image_size: int
-    is_injective: bool
-    is_surjective: bool
-    roundtrip_ok: bool
-    counterexample: Optional[tuple] = None
+    __slots__ = ("name", "order", "domain_size", "image_size", "is_injective", "is_surjective",
+                 "roundtrip_ok", "counterexample")
+
+    def __init__(self, name: str, order: int, domain_size: int, image_size: int,
+                 is_injective: bool, is_surjective: bool, roundtrip_ok: bool,
+                 counterexample: Optional[tuple] = None):
+        self._set(name, order, domain_size, image_size, is_injective, is_surjective,
+                  roundtrip_ok, counterexample)
 
     @property
     def verified(self) -> bool:

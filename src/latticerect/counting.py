@@ -14,14 +14,13 @@ numpy is imported by the functions that use it, so only these counts load it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 from . import formulas
-from .geometry import _PIECES, Axis, CellRegion, LatticeRect, ShapeSpec
+from .geometry import _PIECES, Axis, CellRegion, LatticeRect, ShapeSpec, _Record
 
 
 class CrossingClass(Enum):
@@ -199,12 +198,16 @@ def count_fast(region: CellRegion) -> int:
     return (inside + _crossing_bands(spans)) // 2
 
 
-@dataclass(frozen=True)
-class CountBreakdown:
+class CountBreakdown(_Record):
     """Rectangle count split by crossing class relative to one axis."""
 
-    total: int
-    by_class: Mapping[CrossingClass, int]
+    __slots__ = ("total", "by_class")
+
+    def __init__(self, total: int, by_class: Mapping[CrossingClass, int]):
+        self._set(total, MappingProxyType(dict(by_class)))
+
+    def __reduce__(self) -> tuple:
+        return CountBreakdown, (self.total, dict(self.by_class))  # a mappingproxy won't pickle
 
     @property
     def crossing(self) -> int:
@@ -233,7 +236,7 @@ def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
             tally[CrossingClass.RIGHT] += int(k @ (q - 1)) - pairs
             tally[CrossingClass.CENTERED] += int(k.sum())
             tally[CrossingClass.NON_CROSSING] += int((hi - lo) @ (hi - lo + 1)) // 2 - int(p @ q)
-    return CountBreakdown(sum(tally.values()), MappingProxyType(tally))
+    return CountBreakdown(sum(tally.values()), tally)
 
 
 def count_formula(spec: ShapeSpec) -> int:

@@ -8,7 +8,6 @@ below-left of its true center), at the origin.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import index, itemgetter
 from typing import Iterator, Optional, Union
@@ -75,8 +74,43 @@ class LatticeRect(_Four):
         return self[3] - self[2]
 
 
-@dataclass(frozen=True)
-class Axis:
+class _Record:
+    """Read-only fields named by ``__slots__`` and set by ``__init__``, shown as
+    ``Type(field=value, ...)``; equal and hashed by the ``_KEY`` fields (default: all),
+    within one type only."""
+
+    __slots__ = ()
+    _KEY: Optional[tuple[str, ...]] = None
+
+    def _values(self, names: Optional[tuple[str, ...]] = None) -> tuple:
+        return tuple(getattr(self, name) for name in names or self.__slots__)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self._KEY) == other._values(self._KEY)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._KEY))
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()  # copy and every pickle protocol rebuild through __init__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):  # also __delattr__, which passes no value
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Axis(_Record):
     """A vertical line used for splitting and for crossing classification.
 
     ``half=False`` puts the line on the lattice line x = x0; ``half=True`` puts
@@ -84,15 +118,14 @@ class Axis:
     axis is of this kind).
     """
 
-    x0: int
-    half: bool = False
+    __slots__ = ("x0", "half")
 
-    def __post_init__(self):
-        if (x0 := _integer(self.x0)) is None:
-            raise ShapeError(f"axis position must be an integer, got {self.x0!r}")
-        object.__setattr__(self, "x0", x0)
-        if not isinstance(self.half, bool):
-            raise ShapeError(f"axis half must be a bool, got {self.half!r}")
+    def __init__(self, x0: int, half: bool = False):
+        if (position := _integer(x0)) is None:
+            raise ShapeError(f"axis position must be an integer, got {x0!r}")
+        if not isinstance(half, bool):
+            raise ShapeError(f"axis half must be a bool, got {half!r}")
+        self._set(position, half)
 
     @property
     def double_x(self) -> int:
@@ -105,38 +138,36 @@ class Axis:
         return f"x={self.x0}"
 
 
-@dataclass(frozen=True)
-class CellRegion:
+class CellRegion(_Record):
     """A row-convex set of unit cells: one column interval [lo, hi) per row.
 
     ``row0`` is the lowest row index; ``spans[k]`` is the interval of row
     ``row0 + k``.
     """
 
-    row0: int
-    spans: tuple[tuple[int, int], ...]
+    __slots__ = ("row0", "spans")
 
-    def __post_init__(self):
-        if (row0 := _integer(self.row0)) is None:
-            raise ShapeError(f"row0 and span bounds must be integers, got row0 {self.row0!r}")
-        object.__setattr__(self, "row0", row0 if self.spans else 0)
+    def __init__(self, row0: int, spans: tuple[tuple[int, int], ...]):
+        if (start := _integer(row0)) is None:
+            raise ShapeError(f"row0 and span bounds must be integers, got row0 {row0!r}")
         try:
-            if type(self.spans) is tuple:  # int pairs, the common case, are kept as given
-                for lo, hi in self.spans:
+            if type(spans) is tuple:  # int pairs, the common case, are kept as given
+                for lo, hi in spans:
                     if not type(lo) is type(hi) is int or lo >= hi:
                         break
                 else:
+                    self._set(start if spans else 0, spans)
                     return
-            spans = []
-            for k, (lo, hi) in enumerate(self.spans, row0):
+            checked = []
+            for k, (lo, hi) in enumerate(spans, start):
                 if (lo := _integer(lo)) is None or (hi := _integer(hi)) is None:
                     raise TypeError
                 if lo >= hi:
                     raise ShapeError(f"empty interval [{lo},{hi}) in row {k}")
-                spans.append((lo, hi))
+                checked.append((lo, hi))
         except TypeError:
             raise ShapeError("row0 and span bounds must be integers") from None
-        object.__setattr__(self, "spans", tuple(spans))
+        self._set(start if checked else 0, tuple(checked))
 
     @property
     def is_empty(self) -> bool:
@@ -214,37 +245,33 @@ _DEFAULT_VARIANT = {
 }
 
 
-@dataclass(frozen=True)
-class ShapeSpec:
+class ShapeSpec(_Record):
     """A shape family instance: family, order n, and a variant where one applies.
 
     Order must be >= 1, except that staircases admit order 0 (the empty
     region), which the four-staircase decomposition of a small biscuit needs.
     """
 
-    family: Family
-    n: int
-    variant: Optional[Variant] = None
+    __slots__ = ("family", "n", "variant")
 
-    def __post_init__(self):
-        if not isinstance(self.family, Family):
-            raise ShapeError(f"shape family must be a Family, got {self.family!r}")
-        default = _DEFAULT_VARIANT.get(self.family)
+    def __init__(self, family: Family, n: int, variant: Optional[Variant] = None):
+        if not isinstance(family, Family):
+            raise ShapeError(f"shape family must be a Family, got {family!r}")
+        default = _DEFAULT_VARIANT.get(family)
         if default is None:
-            if self.variant is not None:
-                raise ShapeError(f"{self.family.value} takes no variant")
-        elif self.variant is None:
-            object.__setattr__(self, "variant", default)
-        elif not isinstance(self.variant, type(default)):
+            if variant is not None:
+                raise ShapeError(f"{family.value} takes no variant")
+        elif variant is None:
+            variant = default
+        elif not isinstance(variant, type(default)):
             raise ShapeError(
-                f"{self.family.value} variant must be a {type(default).__name__}, "
-                f"got {self.variant!r}")
-        if (n := _integer(self.n)) is None:
-            raise ShapeError(f"{self.family.value} order must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", n)
-        min_n = 0 if self.family is Family.STAIRCASE else 1
-        if self.n < min_n:
-            raise ShapeError(f"{self.family.value} order must be >= {min_n}, got {self.n}")
+                f"{family.value} variant must be a {type(default).__name__}, got {variant!r}")
+        if (order := _integer(n)) is None:
+            raise ShapeError(f"{family.value} order must be an integer, got {n!r}")
+        min_n = 0 if family is Family.STAIRCASE else 1
+        if order < min_n:
+            raise ShapeError(f"{family.value} order must be >= {min_n}, got {order}")
+        self._set(family, order, variant)
 
     def __str__(self) -> str:
         if self.variant is None:

@@ -12,13 +12,12 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .formulas import OEIS_IDS, SequenceId, evaluate
-from .geometry import _integer
+from .geometry import _integer, _Record
 
 #: Where :func:`fetch` reads a b-file; ``BFile.source`` reports the one that served it.
 SOURCES = ("fixture", "cache", "network")
@@ -40,12 +39,14 @@ class BFileError(ValueError):
     """Malformed b-file text."""
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(_Record):
     """Parsed b-file: ordered (index, value) terms with strictly increasing indices."""
 
-    terms: tuple[tuple[int, int], ...]
-    source: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("terms", "source")
+    _KEY = ("terms",)  # equal whichever source served the terms
+
+    def __init__(self, terms: tuple[tuple[int, int], ...], source: Optional[str] = None):
+        self._set(terms, source)
 
 
 def parse_bfile(text: str) -> BFile:
@@ -139,17 +140,18 @@ def fetch(sequence_id: str, source: str = "fixture", cache_dir: Optional[Path] =
     return BFile(terms, source)
 
 
-@dataclass(frozen=True)
-class SeqCheckReport:
+class SeqCheckReport(_Record):
     """Term-by-term comparison of computed values against OEIS reference terms.
 
     ``first_mismatch`` is ``(n, reference, computed)`` for the smallest
     disagreeing n, or None when every term in the checked range matches.
     """
 
-    matches: int
-    first_mismatch: Optional[tuple[int, int, int]]
-    source: str
+    __slots__ = ("matches", "first_mismatch", "source")
+
+    def __init__(self, matches: int, first_mismatch: Optional[tuple[int, int, int]],
+                 source: str):
+        self._set(matches, first_mismatch, source)
 
     @property
     def ok(self) -> bool:

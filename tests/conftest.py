@@ -78,11 +78,33 @@ def check_four_tuple(value, text: str) -> None:
     for name in ("a", "d", "e"):
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
+    check_copies(value, text)
+
+
+def check_record(value, text: str) -> list:
+    """The value-type contract of Axis, CellRegion, ShapeSpec and the reports: read-only
+    fields, an exact repr, equal only within one type, and copies and pickles as itself;
+    returns those copies."""
+    for name in (*value.__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+    fields = tuple(getattr(value, name) for name in value.__slots__)
+    assert value != fields and fields != value and value != object()
+    return check_copies(value, text)
+
+
+def check_copies(value, text: str) -> list:
+    """copy, deepcopy and every pickle protocol rebuild the value as an equal object of
+    its type with the given repr; returns those copies."""
     twins = [copy.copy(value), copy.deepcopy(value)]
     twins += [pickle.loads(pickle.dumps(value, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in twins:
         assert type(twin) is type(value) and twin == value and repr(twin) == text
+    return twins
 
 
 def _refuse_type_l(monkeypatch, side: int, refuses) -> None:

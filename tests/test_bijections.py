@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import check_four_tuple, refuse_type_l_forward, refuse_type_l_inverse
+from conftest import (check_four_tuple, check_record, refuse_type_l_forward,
+                      refuse_type_l_inverse)
 from latticerect import (Axis, CrossingClass, LatticeRect, Quadruple, ShapeSpec,
                          anchor_centered, aztec_half, binomial, biscuit_half,
                          build, classify, expand_to_aztec_half,
@@ -12,7 +13,7 @@ from latticerect import (Axis, CrossingClass, LatticeRect, Quadruple, ShapeSpec,
                          unanchor_centered, unfold_left_heavy,
                          verify_bijection)
 from latticerect import bijections
-from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER
+from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER, BijectionReport
 
 s = staircase_rects
 
@@ -64,6 +65,20 @@ def test_quadruple_is_an_immutable_four_tuple():
     q = Quadruple(0, 1, 2, 3)
     check_four_tuple(q, "Quadruple(a=0, b=1, c=2, d=3)")
     assert (q.a, q.b, q.c, q.d) == (0, 1, 2, 3) and str(q) == "(0,1,2,3)"
+
+
+def test_bijection_report_is_a_read_only_value():
+    report = verify_bijection("quadruple", 1)
+    twins = check_record(report, "BijectionReport(name='quadruple', order=1, domain_size=1, "
+                         "image_size=1, is_injective=True, is_surjective=True, "
+                         "roundtrip_ok=True, counterexample=None)")
+    assert {hash(twin) for twin in twins} == {hash(report)}
+    assert report == BijectionReport("quadruple", 1, 1, 1, True, True, True)
+    failed = BijectionReport("type_l", 3, 2, 1, False, True, False,
+                             (LatticeRect(0, 1, 0, 1), "refused"))
+    check_record(failed, "BijectionReport(name='type_l', order=3, domain_size=2, image_size=1, "
+                 "is_injective=False, is_surjective=True, roundtrip_ok=False, counterexample="
+                 "(LatticeRect(a=0, b=1, c=0, d=1), 'refused'))")
 
 
 def test_quadruple_takes_numpy_integers_as_ints():
@@ -230,8 +245,8 @@ def test_verify_bijection_reports_a_numpy_order_as_int():
 def test_verify_bijection_builds_each_shape_once(monkeypatch, name):
     built, made = [], []
     monkeypatch.setattr(bijections, "build", lambda spec: built.append(spec) or build(spec))
-    check = ShapeSpec.__post_init__
-    monkeypatch.setattr(ShapeSpec, "__post_init__", lambda spec: made.append(spec) or check(spec))
+    init = ShapeSpec.__init__
+    monkeypatch.setattr(ShapeSpec, "__init__", lambda spec, *a: init(spec, *a) or made.append(spec))
     bijections._built.cache_clear()
     assert verify_bijection(name, 6).verified
     assert built and len(built) == len(set(built)), built

@@ -631,13 +631,15 @@ def test_count_method_timers_leave_out_the_numpy_import():
 
 
 def loaded_modules(*argv):
-    """The latticerect modules, and numpy, loaded by a fresh process that runs ``main(argv)``."""
+    """The latticerect modules, and numpy, dataclasses and inspect, loaded by a fresh process
+    that runs ``main(argv)``."""
     result = run_python("-c", "import contextlib, io, sys, latticerect.cli as cli\n"
                         "if sys.argv[1:]:\n"
                         "    with contextlib.redirect_stdout(io.StringIO()):\n"
                         "        assert cli.main(sys.argv[1:]) == 0\n"
                         "print(*sorted(m for m in sys.modules\n"
-                        "              if m == 'numpy' or m.split('.')[0] == 'latticerect'))",
+                        "              if m in ('numpy', 'dataclasses', 'inspect')\n"
+                        "              or m.split('.')[0] == 'latticerect'))",
                         *argv)
     assert result.returncode == 0, result.stderr
     return set(result.stdout.split())
@@ -651,10 +653,19 @@ def test_cli_import_loads_only_the_package_the_cli_and_geometry():
     ("render aztec:2 --format svg", "counting formulas bijections oeis"),
     ("oeis --terms 3", "counting bijections render"),
     ("count aztec:3 --method formula", "bijections oeis render"),
+    ("bijections --max-n 3", "oeis render"),
 ])
 def test_each_command_loads_only_the_modules_it_runs(argv, unloaded):
+    # numpy imports inspect itself; these commands load neither
     loaded = loaded_modules(*argv.split())
-    assert not loaded & {"numpy", *(f"latticerect.{name}" for name in unloaded.split())}
+    assert not loaded & {"numpy", "dataclasses", "inspect",
+                         *(f"latticerect.{name}" for name in unloaded.split())}
+
+
+@pytest.mark.parametrize("argv", ["count aztec:3", "verify --max-n 3"])
+def test_region_counts_load_numpy_but_no_dataclasses(argv):
+    loaded = loaded_modules(*argv.split())
+    assert "numpy" in loaded and "dataclasses" not in loaded
 
 
 def test_only_region_counts_load_numpy():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_row_convex, symmetries
+from conftest import check_record, random_row_convex, symmetries
 from latticerect import counting
 from latticerect import (Axis, CellRegion, CrossingClass, Family, LatticeRect, aztec,
                          aztec_half, biscuit, biscuit_half, build, classify,
@@ -281,6 +281,21 @@ def test_breakdown_half_diamond_order_2():
     assert breakdown.by_class[CrossingClass.NON_CROSSING] == 10
     assert breakdown.total == 16
     assert breakdown.crossing == 6
+
+
+def test_breakdown_is_a_read_only_value():
+    tally = {CrossingClass.LEFT: 0, CrossingClass.RIGHT: 0, CrossingClass.CENTERED: 3,
+             CrossingClass.NON_CROSSING: 6}
+    breakdown = count_breakdown(build(aztec(1)), Axis(0))
+    check_record(breakdown, "CountBreakdown(total=9, by_class=mappingproxy({"
+                 "<CrossingClass.LEFT: 'L'>: 0, <CrossingClass.RIGHT: 'R'>: 0, "
+                 "<CrossingClass.CENTERED: 'C'>: 3, "
+                 "<CrossingClass.NON_CROSSING: 'non-crossing'>: 6}))")
+    assert breakdown == counting.CountBreakdown(9, tally)
+    tally[CrossingClass.LEFT] = 1  # the breakdown keeps its own read-only copy
+    assert breakdown.by_class[CrossingClass.LEFT] == 0
+    with pytest.raises(TypeError):
+        breakdown.by_class[CrossingClass.LEFT] = 1
 
 
 def test_breakdown_axis_outside_box():

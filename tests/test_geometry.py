@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import check_four_tuple, flip_x
+from conftest import check_four_tuple, check_record, flip_x
 from latticerect import (Axis, CellRegion, Corner, Family, LatticeRect, Part,
                          Quadruple, ShapeError, ShapeSpec, Side, aztec,
                          aztec_half, biscuit, biscuit_half, build,
@@ -120,8 +120,8 @@ def test_build_takes_a_numpy_offset():
 
 def test_build_constructs_one_region_per_call(monkeypatch):
     made = []
-    check = CellRegion.__post_init__
-    monkeypatch.setattr(CellRegion, "__post_init__", lambda r: made.append(r) or check(r))
+    init = CellRegion.__init__
+    monkeypatch.setattr(CellRegion, "__init__", lambda r, *a: init(r, *a) or made.append(r))
     for family in Family:
         default = ShapeSpec(family, 1).variant
         for variant in [None] if default is None else type(default):
@@ -253,6 +253,26 @@ def test_rect_is_an_immutable_four_tuple():
     tampered = pickle.dumps(LatticeRect(0, 1, 0, 1), 0).replace(b"I1\n", b"I-5\n", 1)
     with pytest.raises(ShapeError, match="degenerate rectangle"):
         pickle.loads(tampered)  # an old protocol too goes through the checks
+
+
+@pytest.mark.parametrize("value,text", [
+    (Axis(0), "Axis(x0=0, half=False)"),
+    (Axis(np.int64(-3), half=True), "Axis(x0=-3, half=True)"),
+    (CellRegion(2, ((0, 1), (-1, 3))), "CellRegion(row0=2, spans=((0, 1), (-1, 3)))"),
+    (CellRegion(5, []), "CellRegion(row0=0, spans=())"),
+    (aztec(3), "ShapeSpec(family=<Family.AZTEC: 'aztec'>, n=3, variant=None)"),
+    (staircase(0, Corner.UR),
+     "ShapeSpec(family=<Family.STAIRCASE: 'staircase'>, n=0, variant=<Corner.UR: 'ur'>)"),
+])
+def test_shape_records_are_read_only_values(value, text):
+    twins = check_record(value, text)
+    assert {hash(twin) for twin in twins} == {hash(value)}
+
+
+def test_a_tampered_region_pickle_goes_through_the_checks():
+    tampered = pickle.dumps(CellRegion(0, ((0, 5),)), 0).replace(b"I5", b"I-3")
+    with pytest.raises(ShapeError, match=r"empty interval \[0,-3\) in row 0"):
+        pickle.loads(tampered)
 
 
 def test_rect_takes_numpy_integers_as_ints():

@@ -4,6 +4,7 @@ import pytest
 
 from latticerect import (Family, SequenceId, ShapeSpec, build, check, count_naive, evaluate,
                          fetch, parse_bfile)
+from conftest import check_record
 from latticerect import oeis
 from latticerect.oeis import (SEQUENCE_FOR_ID, BFile, BFileError, FetchError,
                               bfile_url, default_cache_dir)
@@ -56,6 +57,14 @@ def test_format_parse_roundtrip_on_fixtures():
         bfile = fetch(sequence_id, source="fixture")
         again = parse_bfile("".join(f"{i} {v}\n" for i, v in bfile.terms))
         assert again == BFile(bfile.terms)
+
+
+def test_bfile_is_a_read_only_value_equal_by_its_terms():
+    bfile = BFile(((1, 3), (2, 16)), "cache")
+    twins = check_record(bfile, "BFile(terms=((1, 3), (2, 16)), source='cache')")
+    for same in (*twins, BFile(bfile.terms), BFile(bfile.terms, "network")):
+        assert same == bfile and hash(same) == hash(bfile)
+    assert bfile != BFile(((1, 3),), "cache")
 
 
 # --- fetch policies -------------------------------------------------------------
@@ -245,6 +254,9 @@ def test_fixture_terms_match_the_oracle(sequence_id):
 def test_check_single_term():
     report = check("A330805", SequenceId.AZTEC, 1)
     assert report.ok and report.matches == 1
+    twins = check_record(report, "SeqCheckReport(matches=1, first_mismatch=None, "
+                         "source='fixture')")
+    assert {hash(twin) for twin in twins} == {hash(report)}
     assert evaluate(SequenceId.AZTEC, 1) == 9
 
 
