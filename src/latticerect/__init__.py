@@ -15,7 +15,7 @@ _HOMES = {name: module for module, names in {
                    "verify_bijection"),
     "counting": ("CountBreakdown", "CrossingClass", "classify", "count_breakdown",
                  "count_fast", "count_formula", "count_naive", "rectangles"),
-    "formulas": ("OEIS_IDS", "SequenceId", "aztec_half_rects", "aztec_rects", "binomial",
+    "formulas": ("OEIS_IDS", "SequenceId", "aztec_half_rects", "aztec_rects",
                  "biscuit_half_rects", "biscuit_rects", "evaluate", "staircase_rects"),
     "geometry": ("Axis", "CellRegion", "Corner", "Family", "LatticeRect", "Part", "ShapeError",
                  "ShapeSpec", "Side", "aztec", "aztec_half", "biscuit", "biscuit_half", "build",

@@ -1,12 +1,12 @@
 """Invertible maps behind the counting identities, with exhaustive verifiers.
 
 Each map is a concrete coordinate transformation between two finite rectangle
-families, paired with its inverse.  A map's domain is a shape at order n and
-maybe some crossing classes about its axis: the forward map refuses the rest
-with ``_require``, and ``_MAPS`` lists it with ``rectangles`` or, given the
-same axis and classes, ``_crossing_rects``.  ``verify_bijection`` walks the
-domain once and checks injectivity, surjectivity and the roundtrip, so the
-closed forms' identities are replayed.
+families, paired with its inverse; ``_COORDS`` writes each pair once, as integer
+affine maps of (a, b, c, d) given the order n.  A public map refuses, with ``_require``,
+every rectangle outside its domain, then runs its table entry.  ``verify_bijection``
+runs the entries alone on the domain that ``_MAPS`` lists, with ``rectangles`` or
+``_crossing_rects``, and checks injectivity, surjectivity and the roundtrip against the
+codomain it lists the same way, so the closed forms' identities are replayed.
 """
 from __future__ import annotations
 
@@ -70,6 +70,20 @@ class Quadruple(_Four):
         return self
 
 
+#: name -> (forward, inverse), each called as (rect, n) on its domain, unguarded; the
+#: quadruple map is one formula both ways, made as a Quadruple and as a LatticeRect.
+_COORDS: dict[str, tuple[Callable, Callable]] = {
+    "quadruple": tuple(map(lambda make: lambda r, n: make(r[0], r[1], n + 2 - r[3], n + 2 - r[2]),
+                           (Quadruple, LatticeRect))),
+    "type_l": (lambda r, _n: LatticeRect(r[1], -r[0], r[2], r[3]),
+               lambda r, _n: LatticeRect(-r[1], r[0], r[2], r[3])),
+    "type_c": (lambda r, _n: LatticeRect(0, r[1], r[2], r[3]),
+               lambda r, _n: LatticeRect(-r[1], r[1], r[2], r[3])),
+    "biscuit_expand": (lambda r, _n: LatticeRect(r[0] - 1, r[1], r[2], r[3]),
+                       lambda r, _n: LatticeRect(r[0] + 1, r[1], r[2], r[3])),
+}
+
+
 def staircase_to_quadruple(rect: LatticeRect, n: int) -> Quadruple:
     """Encode a rectangle of the canonical order-n dl staircase as a quadruple.
 
@@ -78,8 +92,7 @@ def staircase_to_quadruple(rect: LatticeRect, n: int) -> Quadruple:
     [a, b] x [c, d] satisfies exactly 0 <= a < b < c < d <= n+2, so its own
     coordinates are the encoding.
     """
-    a, b, c, d = _require(rect, staircase, n)
-    return Quadruple(a, b, n + 2 - d, n + 2 - c)
+    return _COORDS["quadruple"][0](_require(rect, staircase, n), n)
 
 
 def quadruple_to_staircase(q: Quadruple, n: int) -> LatticeRect:
@@ -87,7 +100,7 @@ def quadruple_to_staircase(q: Quadruple, n: int) -> LatticeRect:
     a, b, c, d = q
     if d > n + 2:
         raise ValueError(f"{q} exceeds the order-{n} bound {n + 2}")
-    return LatticeRect(a, b, n + 2 - d, n + 2 - c)
+    return _COORDS["quadruple"][1](q, n)
 
 
 def fold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
@@ -97,8 +110,8 @@ def fold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     the right part leaves the strip [b, -a] x [c, d], which lands in the
     order-(n-1) staircase one column right of the axis.
     """
-    a, b, c, d = _require(rect, aztec_half, n, _AZTEC_AXIS, (CrossingClass.LEFT,))
-    return LatticeRect(b, -a, c, d)
+    rect = _require(rect, aztec_half, n, _AZTEC_AXIS, (CrossingClass.LEFT,))
+    return _COORDS["type_l"][0](rect, n)
 
 
 def unfold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
@@ -106,8 +119,7 @@ def unfold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
     a, b, c, d = rect
     if a < 1:
         raise ValueError(f"{rect} does not lie strictly right of the axis")
-    _require(rect, aztec_half, n)
-    return LatticeRect(-b, a, c, d)
+    return _COORDS["type_l"][1](_require(rect, aztec_half, n), n)
 
 
 def anchor_centered(rect: LatticeRect) -> LatticeRect:
@@ -115,7 +127,7 @@ def anchor_centered(rect: LatticeRect) -> LatticeRect:
     a, b, c, d = rect
     if a != -b:
         raise ValueError(f"{rect} is not centered on the axis x=0")
-    return LatticeRect(0, b, c, d)
+    return _COORDS["type_c"][0](rect, None)
 
 
 def unanchor_centered(rect: LatticeRect) -> LatticeRect:
@@ -123,7 +135,7 @@ def unanchor_centered(rect: LatticeRect) -> LatticeRect:
     a, b, c, d = rect
     if a != 0:
         raise ValueError(f"{rect} does not have its left side on the axis x=0")
-    return LatticeRect(-b, b, c, d)
+    return _COORDS["type_c"][1](rect, None)
 
 
 def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
@@ -134,14 +146,12 @@ def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
     diamond; a rectangle whose interior meets the axis grows with it, to
     [a-1, b] x [c, d], which crosses the new diamond's axis x = 0.
     """
-    a, b, c, d = _require(rect, biscuit_half, n, _BISCUIT_AXIS)
-    return LatticeRect(a - 1, b, c, d)
+    return _COORDS["biscuit_expand"][0](_require(rect, biscuit_half, n, _BISCUIT_AXIS), n)
 
 
 def shrink_to_biscuit_half(rect: LatticeRect, n: int) -> LatticeRect:
     """Inverse of expand_to_aztec_half: drop the inserted column."""
-    a, b, c, d = _require(rect, aztec_half, n, _AZTEC_AXIS)
-    return LatticeRect(a + 1, b, c, d)
+    return _COORDS["biscuit_expand"][1](_require(rect, aztec_half, n, _AZTEC_AXIS), n)
 
 
 class BijectionReport(_Record):
@@ -165,21 +175,16 @@ class BijectionReport(_Record):
 _MAPS: dict[str, Callable[[int], tuple]] = {
     "quadruple": lambda n: (
         list(rectangles(_built(staircase, n))),
-        {Quadruple(*combo) for combo in itertools.combinations(range(n + 3), 4)},
-        staircase_to_quadruple, quadruple_to_staircase),
+        {Quadruple(*q) for q in itertools.combinations(range(n + 3), 4)}, *_COORDS["quadruple"]),
     "type_l": lambda n: (
         _crossing_rects(_built(aztec_half, n), _AZTEC_AXIS, (CrossingClass.LEFT,)),
-        set(rectangles(_built(staircase, n - 1).translate(1, 0))),
-        fold_left_heavy, unfold_left_heavy),
+        set(rectangles(_built(staircase, n - 1).translate(1, 0))), *_COORDS["type_l"]),
     "type_c": lambda n: (
         _crossing_rects(_built(aztec_half, n), _AZTEC_AXIS, (CrossingClass.CENTERED,)),
-        {LatticeRect(0, b, c, d) for c, d, lo, hi in _row_bands(_built(staircase, n))
-         if lo <= 0 for b in range(1, hi + 1)},
-        lambda rect, _n: anchor_centered(rect), lambda rect, _n: unanchor_centered(rect)),
+        set(_crossing_rects(_built(staircase, n), _BISCUIT_AXIS)), *_COORDS["type_c"]),  # a = 0
     "biscuit_expand": lambda n: (
         _crossing_rects(_built(biscuit_half, n), _BISCUIT_AXIS),
-        set(_crossing_rects(_built(aztec_half, n), _AZTEC_AXIS)),
-        expand_to_aztec_half, shrink_to_biscuit_half),
+        set(_crossing_rects(_built(aztec_half, n), _AZTEC_AXIS)), *_COORDS["biscuit_expand"]),
 }
 
 BIJECTION_NAMES = tuple(_MAPS)

@@ -209,6 +209,9 @@ class CountBreakdown(_Record):
     def __reduce__(self) -> tuple:
         return CountBreakdown, (self.total, dict(self.by_class))  # a mappingproxy won't pickle
 
+    def __hash__(self) -> int:
+        return hash((self.total, frozenset(self.by_class.items())))  # as it compares
+
     @property
     def crossing(self) -> int:
         return self.total - self.by_class[CrossingClass.NON_CROSSING]

@@ -6,6 +6,7 @@ asserted where a criterion states one.
 """
 import random
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from conftest import random_row_convex
 from latticerect import (Axis, CrossingClass, aztec, aztec_half,
                          aztec_half_rects, aztec_rects, biscuit, biscuit_half,
-                         biscuit_half_rects, biscuit_rects, build, binomial,
+                         biscuit_half_rects, biscuit_rects, build,
                          count_breakdown, count_fast, count_naive, evaluate,
                          staircase, staircase_rects, split_staircases,
                          verify_bijection)
@@ -141,7 +142,7 @@ def test_criterion_10_breakdown_identities_at_large_order():
 def test_criterion_4_bijection_suite():
     started = time.perf_counter()
     expected_size = {
-        "quadruple": lambda n: binomial(n + 3, 4),
+        "quadruple": lambda n: comb(n + 3, 4),
         "type_l": lambda n: s(n - 1),
         "type_c": lambda n: s(n) - s(n - 1),
         "biscuit_expand": lambda n: s(n) + s(n - 1),

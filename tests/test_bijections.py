@@ -1,11 +1,12 @@
 import itertools
+from math import comb
 
 import pytest
 
 from conftest import (check_four_tuple, check_record, refuse_type_l_forward,
                       refuse_type_l_inverse)
-from latticerect import (Axis, CrossingClass, LatticeRect, Quadruple, ShapeSpec,
-                         anchor_centered, aztec_half, binomial, biscuit_half,
+from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, Quadruple, ShapeSpec,
+                         anchor_centered, aztec_half, biscuit_half,
                          build, classify, expand_to_aztec_half,
                          fold_left_heavy, quadruple_to_staircase, rectangles,
                          shrink_to_biscuit_half, staircase,
@@ -36,7 +37,7 @@ def test_single_cell_staircase_encodes_to_0123():
 def test_order_2_rects_biject_with_quadruples():
     quads = {staircase_to_quadruple(r, 2) for r in rectangles(build(staircase(2)))}
     assert quads == {Quadruple(*combo) for combo in itertools.combinations(range(5), 4)}
-    assert len(quads) == binomial(5, 4) == 5
+    assert len(quads) == comb(5, 4) == 5
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -168,7 +169,7 @@ def test_expand_rejects_non_crossing():
 # --- exhaustive verification -------------------------------------------------------
 
 EXPECTED_DOMAIN_SIZE = {
-    "quadruple": lambda n: binomial(n + 3, 4),
+    "quadruple": lambda n: comb(n + 3, 4),
     "type_l": lambda n: s(n - 1),
     "type_c": lambda n: s(n) - s(n - 1),
     "biscuit_expand": lambda n: s(n) + s(n - 1),
@@ -205,6 +206,18 @@ def test_maps_return_their_own_value_types(name):
     for x in domain:
         y = forward(x, n)
         assert type(y) is image_type and type(inverse(y, n)) is LatticeRect
+
+
+def test_verify_bijection_runs_no_guard(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"guard called on {args}")
+    monkeypatch.setattr(bijections, "_require", refuse)
+    monkeypatch.setattr(bijections, "classify", refuse)
+    monkeypatch.setattr(CellRegion, "contains_rect", refuse)
+    with pytest.raises(AssertionError):
+        fold_left_heavy(LatticeRect(-2, 1, 0, 1), 2)  # the public maps do call it
+    for name in BIJECTION_NAMES:
+        assert verify_bijection(name, 6).verified, name
 
 
 def test_type_c_codomain_is_the_staircase_rectangles_on_the_axis():

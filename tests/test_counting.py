@@ -287,11 +287,16 @@ def test_breakdown_is_a_read_only_value():
     tally = {CrossingClass.LEFT: 0, CrossingClass.RIGHT: 0, CrossingClass.CENTERED: 3,
              CrossingClass.NON_CROSSING: 6}
     breakdown = count_breakdown(build(aztec(1)), Axis(0))
-    check_record(breakdown, "CountBreakdown(total=9, by_class=mappingproxy({"
-                 "<CrossingClass.LEFT: 'L'>: 0, <CrossingClass.RIGHT: 'R'>: 0, "
-                 "<CrossingClass.CENTERED: 'C'>: 3, "
-                 "<CrossingClass.NON_CROSSING: 'non-crossing'>: 6}))")
-    assert breakdown == counting.CountBreakdown(9, tally)
+    twins = check_record(breakdown, "CountBreakdown(total=9, by_class=mappingproxy({"
+                         "<CrossingClass.LEFT: 'L'>: 0, <CrossingClass.RIGHT: 'R'>: 0, "
+                         "<CrossingClass.CENTERED: 'C'>: 3, "
+                         "<CrossingClass.NON_CROSSING: 'non-crossing'>: 6}))")
+    same = counting.CountBreakdown(9, tally)
+    reordered = counting.CountBreakdown(9, dict(reversed(tally.items())))
+    assert breakdown == same == reordered
+    assert {hash(twin) for twin in (*twins, same, reordered)} == {hash(breakdown)}
+    assert len({breakdown, *twins, same, reordered}) == 1
+    assert counting.CountBreakdown(10, tally) not in {breakdown}
     tally[CrossingClass.LEFT] = 1  # the breakdown keeps its own read-only copy
     assert breakdown.by_class[CrossingClass.LEFT] == 0
     with pytest.raises(TypeError):

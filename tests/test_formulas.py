@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from latticerect import (OEIS_IDS, SequenceId, aztec, aztec_half,
-                         aztec_half_rects, aztec_rects, binomial, biscuit,
+from latticerect import (OEIS_IDS, Family, SequenceId, aztec, aztec_half,
+                         aztec_half_rects, aztec_rects, biscuit,
                          biscuit_half, biscuit_half_rects, biscuit_rects,
-                         build, count_naive, evaluate, staircase,
+                         build, count_fast, count_naive, evaluate, staircase,
                          staircase_rects)
 from latticerect import formulas
 
@@ -20,16 +20,16 @@ SEQUENCES = {
 
 
 def test_binomial_examples():
-    assert binomial(4, 4) == 1
-    assert binomial(3, 4) == 0  # k > n convention
-    assert binomial(6, 4) == 15
+    assert math.comb(4, 4) == 1
+    assert math.comb(3, 4) == 0  # k > n convention
+    assert math.comb(6, 4) == 15
 
 
 def test_binomial_rejects_negatives():
     with pytest.raises(ValueError):
-        binomial(-1, 2)
+        math.comb(-1, 2)
     with pytest.raises(ValueError):
-        binomial(2, -1)
+        math.comb(2, -1)
 
 
 def test_binomial_pascal_recurrence():
@@ -40,7 +40,7 @@ def test_binomial_pascal_recurrence():
         table.append(row)
     for n in range(61):
         for k in range(n + 1):
-            assert binomial(n, k) == table[n][k]
+            assert math.comb(n, k) == table[n][k]
 
 
 def test_base_values():
@@ -125,3 +125,39 @@ def test_form_disagreement_raises(monkeypatch):
 def test_half_counts_refuse_a_negative_order(half):
     with pytest.raises(ValueError, match="order must be >= 0"):
         half(-1)
+
+
+#: family -> its canonical shape at order n, and its coefficients in the basis
+#: C(n+3, 4), C(n+2, 4), ..., C(n-1, 4), typed here rather than read from formulas
+ORACLE_FORMS = {
+    Family.AZTEC: (aztec, (9, 6, 1)),
+    Family.BISCUIT: (biscuit, (1, 6, 9)),
+    Family.STAIRCASE: (staircase, (1,)),
+    Family.AZTEC_HALF: (aztec_half, (3, 1)),
+    Family.BISCUIT_HALF: (biscuit_half, (1, 3)),
+}
+
+
+def _in_basis(coefficients, n: int) -> int:
+    return sum(k * math.comb(n + 3 - j, 4) for j, k in enumerate(coefficients))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_closed_forms_are_fixed_by_the_oracle(family):
+    # C(n+3-j, 4) is 0 for n < j+1 and 1 at n = j+1, so the oracle at n = 1..5 fixes the j-th
+    # coefficient in turn. The derivation starts at n = 1, where every family starts;
+    # staircase order 0 is left out on purpose and checked after: C(3, 4) = 0 is its count.
+    shape, expected = ORACLE_FORMS[family]
+    coefficients = []
+    for n in range(1, 6):
+        coefficients.append(count_naive(build(shape(n))) - _in_basis(coefficients, n))
+    assert coefficients == [*expected, 0, 0, 0, 0, 0][:5]
+    seq = SequenceId[family.name]
+    assert all(_in_basis(coefficients, n) == evaluate(seq, n) for n in range(1, 301))
+    if family is Family.STAIRCASE:  # its one nonzero term, C(n+3, 4), is defined at n = 0
+        assert _in_basis(expected, 0) == staircase_rects(0) == 0
+    # a polynomial of degree <= 4 from n = 1 on, so the five oracle values fix it
+    values = [count_fast(build(shape(n))) for n in range(1, 81)]
+    for _ in range(5):
+        values = [b - a for a, b in zip(values, values[1:])]
+    assert values == [0] * 75

@@ -48,7 +48,7 @@ def test_a_fresh_import_loads_each_module_on_first_use():
 
 
 def test_removed_names_stay_removed():
-    for name in ("Dihedral", "transform", "format_bfile"):
+    for name in ("Dihedral", "transform", "format_bfile", "binomial"):
         assert name not in latticerect.__all__ and not hasattr(latticerect, name)
     assert not hasattr(oeis, "format_bfile")
     assert not any(hasattr(CellRegion, name)

@@ -276,6 +276,20 @@ BIJECTION_MAPS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(BIJECTION_MAPS))
+def test_public_maps_are_their_guard_then_their_table_entry(name):
+    forward, inverse, _ = BIJECTION_MAPS[name]
+    table_forward, table_inverse = bijections._COORDS[name]
+    for n in range(1, 9):
+        domain, codomain, replay_forward, replay_inverse = bijections._MAPS[name](n)
+        assert (replay_forward, replay_inverse) == (table_forward, table_inverse)
+        for x in domain:
+            y = forward(x, n)
+            assert y == table_forward(x, n) and type(y) is type(table_forward(x, n))
+        for y in codomain:
+            assert inverse(y, n) == table_inverse(y, n)
+
+
 @st.composite
 def rects_near_shapes(draw, max_n=8):
     """An order n <= max_n and a rectangle one cell around the shapes' rows and
