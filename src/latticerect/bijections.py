@@ -96,9 +96,9 @@ def staircase_to_quadruple(rect: LatticeRect, n: int) -> Quadruple:
 
 
 def quadruple_to_staircase(q: Quadruple, n: int) -> LatticeRect:
-    """Inverse of staircase_to_quadruple; requires d <= n + 2."""
-    a, b, c, d = q
-    if d > n + 2:
+    """Inverse of staircase_to_quadruple; requires a quadruple with d <= n + 2."""
+    q = Quadruple(*q)  # refuses a plain tuple that is not one
+    if q.d > n + 2:
         raise ValueError(f"{q} exceeds the order-{n} bound {n + 2}")
     return _COORDS["quadruple"][1](q, n)
 

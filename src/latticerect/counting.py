@@ -5,10 +5,11 @@ bounding box once for fullness against a 2D prefix-sum table, a chunk of
 bands per numpy step, still O(W^2 H^2) work.
 The rest use row-convexity: rows c..d-1 contain exactly the rectangles whose
 columns lie in ``[max lo, min hi)`` of those rows.  ``count_fast`` sums
-C(w+1, 2) over the non-empty bands: those inside 32-row leaves by the band
-walk, a band height per numpy step, which ``count_breakdown`` also uses, and
-the rest by a divide and conquer over rows, a level per numpy step, O(H log H)
-in all.  ``rectangles`` lists the bands' rectangles at the cost of its output.
+C(w+1, 2) over the bands: those inside 32-row leaves a band height per numpy
+step, on same-shape slices of all leaves at once, and the rest by a divide and
+conquer over rows, a level per numpy step, O(H log H) in all.  ``count_breakdown``
+walks the bands a height per step too, dropping the empty ones, so it costs the
+bands.  ``rectangles`` lists the bands' rectangles at the cost of its output.
 ``count_formula``, the third way, applies the closed forms of :mod:`latticerect.formulas`.
 numpy is imported by the functions that use it, so only these counts load it.
 """
@@ -112,7 +113,8 @@ def _box_spans(region: CellRegion, bound: Callable[[int, int], int]) -> np.ndarr
     int64 while ``bound(W, H)`` fits it, else Python ints."""
     import numpy as np
     try:
-        spans = np.fromiter(chain.from_iterable(region.spans), np.int64).reshape(-1, 2)
+        spans = np.fromiter(chain.from_iterable(region.spans), np.int64, 2 * region.height)
+        spans = spans.reshape(-1, 2)
     except OverflowError:  # far from the origin: Python ints, shifted below like any other
         spans = np.array(region.spans, dtype=object)
     left = int(spans.min())
@@ -121,17 +123,14 @@ def _box_spans(region: CellRegion, bound: Callable[[int, int], int]) -> np.ndarr
     return spans.astype(object) - left
 
 
-def _bands(spans: np.ndarray, leaf: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _bands(spans: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield, per band height, the columns ``[lo, hi)`` of every non-empty band.
 
     All bands of one height grow together by one row and drop out once empty:
-    so is every taller band on their bottom row.  The row above the last, and
-    with ``leaf`` the first of each aligned block of ``leaf`` rows, ends them.
+    so is every taller band on their bottom row.  The row above the last ends them.
     """
     import numpy as np
     lo, hi = np.append(spans, [[0, 0]], axis=0).T
-    if leaf:
-        hi[leaf::leaf] = 0
     top = np.arange(len(spans))  # top row of each live band, one band per bottom row
     cur_lo, cur_hi = spans.T
     while top.size:
@@ -141,6 +140,28 @@ def _bands(spans: np.ndarray, leaf: int = 0) -> Iterator[tuple[np.ndarray, np.nd
         cur_hi = np.minimum(cur_hi, hi[top])
         live = cur_lo < cur_hi
         top, cur_lo, cur_hi = top[live], cur_lo[live], cur_hi[live]
+
+
+def _leaf_bands(spans: np.ndarray) -> int:
+    """Twice the sum of C(w+1, 2) over the bands inside aligned blocks of _LEAF_ROWS rows.
+
+    Step k widens the height-k bands of every block, a (blocks, _LEAF_ROWS - k + 1)
+    slice, to height k + 1 by the row above them.  An empty band stays empty,
+    so widths clipped at 0 count it as 0, and a step summing to 0 ends the walk.
+    """
+    import numpy as np
+    pad = np.zeros((-len(spans) % _LEAF_ROWS, 2), spans.dtype)  # empty rows fill the last block
+    lo, hi = np.concatenate((spans, pad)).T.reshape(2, -1, _LEAF_ROWS)
+    cur_lo, cur_hi, total = lo, hi, 0
+    for k in range(1, min(_LEAF_ROWS, len(spans)) + 1):
+        w = (cur_hi - cur_lo).ravel()
+        step = int(np.maximum(w, 0, out=w) @ (w + 1))
+        if not step:
+            break
+        total += step
+        cur_lo = np.maximum(cur_lo[:, :-1], lo[:, k:])
+        cur_hi = np.minimum(cur_hi[:, :-1], hi[:, k:])
+    return total
 
 
 def _crossing_bands(spans: np.ndarray) -> int:
@@ -169,8 +190,12 @@ def _crossing_bands(spans: np.ndarray) -> int:
         width = int(hi.max())
         key = np.arange(blocks, dtype=spans.dtype)[:, None] * (width + 2)
         b_key, q_key, b, q = (key + width - b).ravel(), (key + q).ravel(), b.ravel(), q.ravel()
-        sums = np.stack((b, b * (b + 1), q, q * (q - 1), (b - q) * (b - q + 1))).cumsum(axis=1)
-        sums = np.concatenate((0 * sums[:, :1], sums), axis=1)  # prefix sums along the rows
+        sums = np.zeros((5, b.size + 1), spans.dtype)  # prefix sums along the rows
+        sums[0, 1:], sums[2, 1:] = b, q
+        np.multiply(b, b + 1, out=sums[1, 1:])
+        np.multiply(q, q - 1, out=sums[3, 1:])
+        np.multiply(d := b - q, d + 1, out=sums[4, 1:])
+        np.cumsum(sums, axis=1, out=sums)
         block = live.nonzero()[0]
         a, p, key, start = a[live], p[live], key[block, 0], block * r
         end = np.minimum(np.minimum(b_key.searchsorted(key + width - p),
@@ -194,8 +219,7 @@ def count_fast(region: CellRegion) -> int:
         return 0
     # (H(W+1))^2 < 2**63 holds the level sums, at most H^2 W(W+1)/4, in int64
     spans = _box_spans(region, lambda w, h: (h * (w + 1)) ** 2)
-    inside = sum(int((w := hi - lo) @ (w + 1)) for lo, hi in _bands(spans, _LEAF_ROWS))
-    return (inside + _crossing_bands(spans)) // 2
+    return (_leaf_bands(spans) + _crossing_bands(spans)) // 2
 
 
 class CountBreakdown(_Record):

@@ -56,6 +56,10 @@ def test_quadruple_rejects_outside_rect():
 def test_quadruple_rejects_out_of_range():
     with pytest.raises(ValueError):
         quadruple_to_staircase(Quadruple(0, 1, 2, 6), 3)
+    # plain tuples with d <= n + 2 that are no quadruple; (2, 4, 0, 3) maps outside staircase(5)
+    for q in [(2, 4, 0, 3), (-1, 1, 2, 3), (0, 1, 2, 3.5), (0, 1, 2, True)]:
+        with pytest.raises(ValueError):
+            quadruple_to_staircase(q, 5)
     with pytest.raises(ValueError):
         Quadruple(0, 2, 2, 3)
     with pytest.raises(ValueError):

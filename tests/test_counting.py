@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import check_record, random_row_convex, symmetries
+from conftest import check_record, count_by_column_pairs, random_row_convex, symmetries
 from latticerect import counting
 from latticerect import (Axis, CellRegion, CrossingClass, Family, LatticeRect, aztec,
                          aztec_half, biscuit, biscuit_half, build, classify,
@@ -67,11 +67,35 @@ def test_count_naive_on_a_tall_column():
     assert peak < 2 * 2**20
 
 
+def _walk_spans(rng, height, width):
+    """Rows whose ends each move at most one column from the row below: tall bands."""
+    lo, hi, spans = 0, width, []
+    for _ in range(height):
+        lo = min(max(lo + rng.randint(-1, 1), 0), width - 1)
+        hi = min(max(hi + rng.randint(-1, 1), lo + 1), width)
+        spans.append((lo, hi))
+    return tuple(spans)
+
+
+def test_count_fast_memory_on_a_tall_region():
+    # about 2.7 MiB traced for 20000 rows of 32 columns: the leaves are walked
+    # a (blocks, 33 - k) slice at a time, never as a (blocks, 32, 32) table
+    region = CellRegion(5, _walk_spans(random.Random(29), 20000, 32))
+    tracemalloc.start()
+    try:
+        count = count_fast(region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == count_breakdown(region, Axis(0)).total
+    assert peak < 4 * 2**20
+
+
 def test_count_naive_needs_no_fast_path_code(monkeypatch):
     def unused(*args):
         raise AssertionError("count_naive called into the fast path")
 
-    for name in ("_row_bands", "_bands", "_box_spans", "_crossing_bands"):
+    for name in ("_row_bands", "_bands", "_box_spans", "_leaf_bands", "_crossing_bands"):
         monkeypatch.setattr(counting, name, unused)
     assert count_naive(build(parse_shape_spec("aztec:5"))) == 855
     for family in Family:
@@ -124,6 +148,8 @@ def test_count_fast_exact_past_int64():
     # C(W+1, 2)*H >= 2**63 in both: only Python ints hold these band sums
     assert count_fast(CellRegion(0, ((0, 2**40),))) == _grid_count(2**40, 1)
     assert count_fast(CellRegion(0, ((0, 2**31),) * 4)) == _grid_count(2**31, 4)
+    # a full leaf and a padded one, then a level, all on Python ints
+    assert count_fast(CellRegion(0, ((0, 2**40),) * 40)) == _grid_count(2**40, 40)
     assert _grid_count(2**31, 1) * 4 >= 2**63
 
 
@@ -180,7 +206,7 @@ def test_count_fast_wide_box_far_from_the_origin():
 
 
 def test_count_fast_at_the_largest_accepted_order():
-    # about 0.1 s per shape on a 2-core x86-64 host; walking all 2n^2 = 8e8
+    # about 60 ms per shape with its build on a 2-core x86-64 host; walking all 2n^2 = 8e8
     # non-empty bands of aztec:20000 a band height at a time takes about 10 s
     started = time.perf_counter()
     for make, seq in [(aztec, SequenceId.AZTEC), (biscuit, SequenceId.BISCUIT)]:
@@ -211,10 +237,32 @@ def test_verify_bijection_at_the_largest_accepted_order():
 
 
 def test_count_fast_disjoint_neighbouring_rows():
+    # in the last, no two neighbouring rows share a column, so the leaf walk
+    # stops at its first empty height, and no level finds a crossing band
     for spans in [((0, 2), (5, 7), (1, 6)), ((0, 1), (1, 2), (0, 1)),
-                  ((3, 9), (0, 2), (4, 5), (1, 8))]:
+                  ((3, 9), (0, 2), (4, 5), (1, 8)), ((0, 3), (3, 5), (1, 2), (2, 6), (6, 8)) * 16]:
         region = CellRegion(-2, spans)
         assert count_fast(region) == count_naive(region)
+
+
+@pytest.mark.parametrize("height", [1, 31, 32, 33, 95])
+def test_count_fast_about_the_leaf_height(height):
+    # below one leaf, one leaf exactly, one row past it: the last leaf is padded
+    rng = random.Random(height)
+    for _ in range(5):
+        region = CellRegion(-7, _walk_spans(rng, height, 6))
+        assert count_fast(region) == count_naive(region)
+
+
+def test_count_fast_needs_no_compacting_band_walk(monkeypatch):
+    # only count_breakdown drops empty bands as it walks; count_fast never calls it
+    def unused(*args):
+        raise AssertionError("count_fast called the compacting band walk")
+
+    monkeypatch.setattr(counting, "_bands", unused)
+    assert count_fast(build(aztec(40))) == evaluate(SequenceId.AZTEC, 40)
+    tall = CellRegion(0, _walk_spans(random.Random(3), 3000, 8))
+    assert count_fast(tall) == count_by_column_pairs(tall)
 
 
 def test_count_fast_single_column_keeps_every_band():
