@@ -24,7 +24,7 @@ EXIT_EXTERNAL = 4
 
 #: The O(W^2 H^2) oracle is kept honest by refusing absurd orders.
 NAIVE_MAX_ORDER = 40
-#: ``count aztec:20000``: 0.21-0.28 s wall, 41 MiB peak RSS (8 runs; 2-core x86-64, Python 3.11).
+#: ``count aztec:20000``: 0.18-0.32 s wall, 39-41 MiB peak RSS (16 runs; 2-core x86-64, Python 3.11).
 FAST_MAX_ORDER = 20000
 #: A render writes every cell: ``render aztec:1000 --format svg`` wrote 92 MB.
 RENDER_MAX_ORDER = 1000

@@ -7,7 +7,8 @@ The rest use row-convexity: rows c..d-1 contain exactly the rectangles whose
 columns lie in ``[max lo, min hi)`` of those rows.  ``count_fast`` sums
 C(w+1, 2) over the bands: those inside 32-row leaves a band height per numpy
 step, on same-shape slices of all leaves at once, and the rest by a divide and
-conquer over rows, a level per numpy step, O(H log H) in all.  ``count_breakdown``
+conquer over rows, a level per numpy step up to the tallest band's height and
+one last pass for the bands left, O(H log H) in all.  ``count_breakdown``
 walks the bands a height per step too, dropping the empty ones, so it costs the
 bands.  ``rectangles`` lists the bands' rectangles at the cost of its output.
 ``count_formula``, the third way, applies the closed forms of :mod:`latticerect.formulas`.
@@ -164,42 +165,57 @@ def _leaf_bands(spans: np.ndarray) -> int:
     return total
 
 
+def _next_pass(s: int, shift: int, reach: int, left: int, right: int,
+               height: int) -> tuple[int, int, int] | None:
+    """(s, shift, reach) of the pass after one at level s whose middle rows have
+    at most ``left`` live rows above and ``right`` below, or None after the last."""
+    if max(left, right) < s:  # no band fills a half block: none is taller than this
+        reach = min(reach, max(s, left + right))
+    step = (2 * s, 0, reach) if reach > s else (s, s, reach)
+    return None if shift or 2 * s >= height else step
+
+
 def _crossing_bands(spans: np.ndarray) -> int:
     """Twice the sum of C(w+1, 2) over the bands that cross a leaf boundary.
 
-    Level s cuts the rows into blocks of 2s about middle rows m.  A_i, P_i are
-    the min of hi and max of lo over rows m-1-i..m-1, and B_t, Q_t over rows
-    m..m+t.  Where A > P, band [m-1-i, m+t] has w = min(A, B) - max(P, Q) > 0
-    until B <= P, Q >= A or B <= Q; w is A - P until B < A or Q > P, then B - P
-    or A - Q, then B - Q, all from prefix sums.  Keys offset by block * (W + 2)
-    let one searchsorted serve all blocks.  ``reach`` bounds all band heights
-    once no band at a level fills a half block.
+    A pass at level s cuts the rows, after ``shift`` empty ones, into blocks of
+    2s about middle rows m.  A_i, P_i are the min of hi and max of lo over rows
+    m-1-i..m-1, and B_t, Q_t over rows m..m+t, for i, t < min(s, reach).
+    Where A > P, band [m-1-i, m+t] has w = min(A, B) - max(P, Q) > 0 until
+    B <= P, Q >= A or B <= Q; w is A - P until B < A or Q > P, then B - P or
+    A - Q, then B - Q, all from prefix sums over the leading entries with B > Q.
+    Keys offset by block * (W + 2) let one searchsorted serve all blocks and
+    keep each search inside its block's kept entries.
+    ``reach`` bounds all band heights once no band at a level fills a half
+    block.  Once ``reach <= s``, each band left crosses one multiple of 2s, and
+    one pass with s empty rows first sums them all: the passes stop at the
+    tallest band, not at H.
     """
     import numpy as np
-    total, s, height, reach = 0, _LEAF_ROWS, len(spans), len(spans)
-    while s < height:
-        r, blocks, pad = min(s, reach), -(-height // (2 * s)), -height % (2 * s)
-        lo, hi = np.concatenate((spans, 0 * spans[:pad])).T.reshape(2, blocks, 2, s)
+    total, height, width = 0, len(spans), int(spans.max())
+    step = (_LEAF_ROWS, 0, height) if _LEAF_ROWS < height else None
+    while step:  # inline: a helper freed each pass's arrays at once, and the heap refaulted
+        s, shift, reach = step
+        r, blocks = min(s, reach), -(-(height + shift) // (2 * s))
+        rows = np.zeros((2 * s * blocks, 2), spans.dtype)  # object zeros are Python ints
+        rows[shift:shift + height] = spans
+        lo, hi = rows.T.reshape(2, blocks, 2, s)
         a = np.minimum.accumulate(hi[:, 0, ::-1][:, :r], axis=1)
         p = np.maximum.accumulate(lo[:, 0, ::-1][:, :r], axis=1)
         b = np.minimum.accumulate(hi[:, 1, :r], axis=1)
         q = np.maximum.accumulate(lo[:, 1, :r], axis=1)
-        left, right = (live := a > p).sum(axis=1), (b > q).sum(axis=1)
-        if max(left.max(), right.max()) < s:
-            reach = min(reach, max(s, int(left.max() + right.max())))
-        width = int(hi.max())
+        left, right = (live := a > p).sum(axis=1), (held := b > q).sum(axis=1)
         key = np.arange(blocks, dtype=spans.dtype)[:, None] * (width + 2)
-        b_key, q_key, b, q = (key + width - b).ravel(), (key + q).ravel(), b.ravel(), q.ravel()
-        sums = np.zeros((5, b.size + 1), spans.dtype)  # prefix sums along the rows
+        b_key, q_key, b, q = (key + width - b)[held], (key + q)[held], b[held], q[held]
+        sums = np.zeros((5, b.size + 1), spans.dtype)  # prefix sums along the kept rows
         sums[0, 1:], sums[2, 1:] = b, q
         np.multiply(b, b + 1, out=sums[1, 1:])
         np.multiply(q, q - 1, out=sums[3, 1:])
         np.multiply(d := b - q, d + 1, out=sums[4, 1:])
         np.cumsum(sums, axis=1, out=sums)
-        block = live.nonzero()[0]
-        a, p, key, start = a[live], p[live], key[block, 0], block * r
-        end = np.minimum(np.minimum(b_key.searchsorted(key + width - p),
-                                    q_key.searchsorted(key + a)), right[block] + start)
+        block = live.nonzero()[0]  # a block's kept entries start after the earlier blocks'
+        a, p, key, start = a[live], p[live], key[block, 0], (right.cumsum() - right)[block]
+        end = np.minimum(b_key.searchsorted(key + width - p), q_key.searchsorted(key + a))
         b_min = np.minimum(b_key.searchsorted(key + width - a, "right"), end)
         p_max = np.minimum(q_key.searchsorted(key + p, "right"), end)
         both, split = np.minimum(b_min, p_max), np.maximum(b_min, p_max)
@@ -209,7 +225,7 @@ def _crossing_bands(spans: np.ndarray) -> int:
                             + sbb - 2 * p * sb + (split - b_min) * p * (p - 1)
                             + sqq - 2 * a * sq + (split - p_max) * a * (a + 1)
                             - sw))
-        s *= 2
+        step = _next_pass(s, shift, reach, int(left.max()), int(right.max()), height)
     return total
 
 

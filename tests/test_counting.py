@@ -265,6 +265,88 @@ def test_count_fast_needs_no_compacting_band_walk(monkeypatch):
     assert count_fast(tall) == count_by_column_pairs(tall)
 
 
+def _record_level_passes(monkeypatch):
+    """Wrap counting._next_pass, called once a pass; return the list each pass
+    appends its (s, rows summed either side of a middle row, shift) to."""
+    passes, next_pass = [], counting._next_pass
+
+    def recorded(s, shift, reach, *rest):
+        passes.append((s, min(s, reach), shift))
+        return next_pass(s, shift, reach, *rest)
+
+    monkeypatch.setattr(counting, "_next_pass", recorded)
+    return passes
+
+
+def test_count_fast_levels_stop_at_the_tallest_band(monkeypatch):
+    # the tallest band of this walk fits in 1024 rows: levels 32-1024, then one
+    # last pass about the multiples of 2048, not a level per doubling up to 16384
+    passes = _record_level_passes(monkeypatch)
+    spans = _walk_spans(random.Random(29), 20000, 32)
+    region = CellRegion(5, spans)
+    assert count_fast(region) == count_by_column_pairs(region)
+    assert [s for s, _, shift in passes if not shift] == [32, 64, 128, 256, 512, 1024]
+    assert passes[-1] == (1024, 1024, 1024)
+    windows = np.lib.stride_tricks.sliding_window_view(np.array(spans), 1025, axis=0)
+    lo, hi = windows.transpose(1, 0, 2)
+    assert (lo.max(axis=1) >= hi.min(axis=1)).all()  # no band of 1025 rows
+
+
+def _runs(lengths, width):
+    """Runs of rows, each run in columns disjoint from the next, so no band
+    spans two runs; rows in a run vary by a column at either end."""
+    spans = []
+    for k, length in enumerate(lengths):
+        lo = k % 2 * width
+        spans += [(lo + i % 2, lo + width - (i % 3 == 1)) for i in range(length)]
+    return tuple(spans)
+
+
+@pytest.mark.parametrize("leaf,lengths,expected", [
+    # reach <= s when first set: one last pass about the multiples of 2s;
+    # with runs of one row no two neighbouring rows share a column
+    (1, [1] * 21, [(1, 1, 0), (2, 2, 0), (2, 2, 2)]),
+    (2, [1] * 21, [(2, 2, 0), (2, 2, 2)]),
+    (4, [2] * 15, [(4, 4, 0), (4, 4, 4)]),
+    (32, [16] * 9 + [5], [(32, 32, 0), (32, 32, 32)]),
+    # s < reach < 2s: one more level, within reach rows, before the last pass
+    (1, [3] * 20, [(1, 1, 0), (2, 2, 0), (4, 4, 0), (8, 6, 0), (8, 6, 8)]),
+    (2, [3] * 20, [(2, 2, 0), (4, 4, 0), (8, 6, 0), (8, 6, 8)]),
+    (4, [3] * 20, [(4, 4, 0), (8, 6, 0), (8, 6, 8)]),
+    (32, [24] * 10, [(32, 32, 0), (64, 48, 0), (64, 48, 64)]),
+    # 2s >= H when reach is set: no boundary is left, so no last pass
+    (1, [1] * 4, [(1, 1, 0), (2, 2, 0)]),
+    (2, [1] * 4, [(2, 2, 0)]),
+    (4, [2] * 4, [(4, 4, 0)]),
+    (32, [5] * 8, [(32, 32, 0)]),
+])
+def test_count_fast_last_level_pass(monkeypatch, leaf, lengths, expected):
+    monkeypatch.setattr(counting, "_LEAF_ROWS", leaf)
+    passes = _record_level_passes(monkeypatch)
+    region = CellRegion(-4, _runs(lengths, 5))
+    assert count_fast(region) == count_by_column_pairs(region) == count_naive(region)
+    assert passes == expected
+    # far off, the box is shifted to 0 and counted on int64 by the same passes
+    passes.clear()
+    assert count_fast(region.translate(10**30, -10**30)) == count_naive(region)
+    assert passes == expected
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 4, 32])
+def test_count_fast_last_level_pass_on_python_ints(monkeypatch, leaf):
+    # runs 2**40 columns wide, 10**30 from the origin: past count_fast's int64
+    # bound, so every pass, the last one too, sums Python ints
+    monkeypatch.setattr(counting, "_LEAF_ROWS", leaf)
+    passes = _record_level_passes(monkeypatch)
+    lengths = [3] * 50
+    region = CellRegion(0, tuple((lo, lo + 2**40) for k, n in enumerate(lengths)
+                                 for lo in [k % 2 * 2**40] * n))
+    far = region.translate(10**30, 10**30)
+    assert _box_spans(far, fast_bound).dtype == object
+    assert count_fast(far) == sum(_grid_count(2**40, k) for k in lengths)
+    assert passes[-1][2] == passes[-1][0]
+
+
 def test_count_fast_single_column_keeps_every_band():
     assert count_fast(CellRegion(0, ((0, 1),) * 2000)) == 2000 * 2001 // 2
 
