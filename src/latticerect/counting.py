@@ -6,9 +6,9 @@ bands per numpy step, still O(W^2 H^2) work.
 The rest use row-convexity: rows c..d-1 contain exactly the rectangles whose
 columns lie in ``[max lo, min hi)`` of those rows.  ``count_fast`` sums
 C(w+1, 2) over the bands: those inside 32-row leaves a band height per numpy
-step, on same-shape slices of all leaves at once, and the rest by a divide and
-conquer over rows, a level per numpy step up to the tallest band's height and
-one last pass for the bands left, O(H log H) in all.  ``count_breakdown``
+step, on contiguous (leaf row, leaf) slabs of all leaves at once, and the rest
+by a divide and conquer over rows, a level per numpy step up to the tallest
+band's height and one last pass for the bands left, O(H log H) in all.  ``count_breakdown``
 walks the bands a height per step too, dropping the empty ones, so it costs the
 bands.  ``rectangles`` lists the bands' rectangles at the cost of its output.
 ``count_formula``, the third way, applies the closed forms of :mod:`latticerect.formulas`.
@@ -146,13 +146,14 @@ def _bands(spans: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def _leaf_bands(spans: np.ndarray) -> int:
     """Twice the sum of C(w+1, 2) over the bands inside aligned blocks of _LEAF_ROWS rows.
 
-    Step k widens the height-k bands of every block, a (blocks, _LEAF_ROWS - k + 1)
-    slice, to height k + 1 by the row above them.  An empty band stays empty,
-    so widths clipped at 0 count it as 0, and a step summing to 0 ends the walk.
+    lo and hi are laid out once as contiguous (leaf row, block) arrays, so step k
+    widens the height-k bands of every block, the leading (_LEAF_ROWS - k + 1,
+    blocks) slab, to height k + 1 by the slab k rows on.  An empty band stays
+    empty, so widths clipped at 0 count it as 0, and a step summing to 0 ends the walk.
     """
     import numpy as np
     pad = np.zeros((-len(spans) % _LEAF_ROWS, 2), spans.dtype)  # empty rows fill the last block
-    lo, hi = np.concatenate((spans, pad)).T.reshape(2, -1, _LEAF_ROWS)
+    lo, hi = np.concatenate((spans, pad)).reshape(-1, _LEAF_ROWS, 2).transpose(2, 1, 0).copy()
     cur_lo, cur_hi, total = lo, hi, 0
     for k in range(1, min(_LEAF_ROWS, len(spans)) + 1):
         w = (cur_hi - cur_lo).ravel()
@@ -160,8 +161,8 @@ def _leaf_bands(spans: np.ndarray) -> int:
         if not step:
             break
         total += step
-        cur_lo = np.maximum(cur_lo[:, :-1], lo[:, k:])
-        cur_hi = np.minimum(cur_hi[:, :-1], hi[:, k:])
+        cur_lo = np.maximum(cur_lo[:-1], lo[k:])
+        cur_hi = np.minimum(cur_hi[:-1], hi[k:])
     return total
 
 

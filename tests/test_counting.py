@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -79,7 +80,7 @@ def _walk_spans(rng, height, width):
 
 def test_count_fast_memory_on_a_tall_region():
     # about 2.7 MiB traced for 20000 rows of 32 columns: the leaves are walked
-    # a (blocks, 33 - k) slice at a time, never as a (blocks, 32, 32) table
+    # a contiguous (33 - k, blocks) slab at a time, never as a (blocks, 32, 32) table
     region = CellRegion(5, _walk_spans(random.Random(29), 20000, 32))
     tracemalloc.start()
     try:
@@ -252,6 +253,28 @@ def test_count_fast_about_the_leaf_height(height):
     for _ in range(5):
         region = CellRegion(-7, _walk_spans(rng, height, 6))
         assert count_fast(region) == count_naive(region)
+
+
+def _small_span_tuples():
+    """Every row-convex region's spans with W <= 3 and H <= 4, or W <= 4 and H <= 3,
+    once each: 2406 of them, rows with no column in common included."""
+    regions = set()
+    for width, max_height in ((3, 4), (4, 3)):
+        rows = [(lo, hi) for lo in range(width) for hi in range(lo + 1, width + 1)]
+        for height in range(1, max_height + 1):
+            regions.update(itertools.product(rows, repeat=height))
+    return sorted(regions)
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 4, 32])
+def test_count_fast_on_every_small_region(monkeypatch, leaf):
+    # every leaf size: regions below, at and past one leaf, a padded last leaf,
+    # levels and last passes; against the column-pair count, not count_naive
+    monkeypatch.setattr(counting, "_LEAF_ROWS", leaf)
+    regions = [CellRegion(0, spans) for spans in _small_span_tuples()]
+    assert len(regions) == 2406
+    wrong = [region for region in regions if count_fast(region) != count_by_column_pairs(region)]
+    assert wrong == []
 
 
 def test_count_fast_needs_no_compacting_band_walk(monkeypatch):
