@@ -4,20 +4,21 @@
 bounding box once for fullness against a 2D prefix-sum table, a chunk of
 bands per numpy step, still O(W^2 H^2) work.
 The rest use row-convexity: rows c..d-1 contain exactly the rectangles whose
-columns lie in ``[max lo, min hi)`` of those rows.  ``count_fast`` sums
-C(w+1, 2) over the bands: those inside 32-row leaves a band height per numpy
-step, on contiguous (leaf row, leaf) slabs of all leaves at once, and the rest
-by a divide and conquer over rows, a level per numpy step up to the tallest
-band's height and one last pass for the bands left, O(H log H) in all.  ``count_breakdown``
-walks the bands a height per step too, dropping the empty ones, so it costs the
-bands.  ``rectangles`` lists the bands' rectangles at the cost of its output.
+columns lie in ``[max lo, min hi)`` of those rows.  ``count_fast`` takes the
+spans as a (2, H) array, lo then hi, and sums C(w+1, 2) over the bands: those
+inside 32-row leaves a band height per numpy step, on contiguous (leaf row,
+leaf) slabs of all leaves at once, and the rest by a divide and conquer over
+rows, a level per numpy step up to the tallest band's height and one last pass
+for the bands left, O(H log H) in all.  ``count_breakdown`` walks the bands a
+height per step too, dropping the empty ones, so it costs the bands; ``rectangles``
+lists the bands' rectangles at the cost of its output.
 ``count_formula``, the third way, applies the closed forms of :mod:`latticerect.formulas`.
 numpy is imported by the functions that use it, so only these counts load it.
 """
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
@@ -110,14 +111,14 @@ _LEAF_ROWS = 32
 
 
 def _box_spans(region: CellRegion, bound: Callable[[int, int], int]) -> np.ndarray:
-    """The rows' ``[lo, hi)`` as an (H, 2) array shifted so the box starts at 0;
-    int64 while ``bound(W, H)`` fits it, else Python ints."""
+    """The rows' ``[lo, hi)`` as a (2, H) array, lo then hi, shifted so the box starts
+    at 0; int64 while ``bound(W, H)`` fits it, else Python ints."""
     import numpy as np
     try:
-        spans = np.fromiter(chain.from_iterable(region.spans), np.int64, 2 * region.height)
-        spans = spans.reshape(-1, 2)
+        spans = np.array([np.fromiter(map(itemgetter(k), region.spans), np.int64,
+                                      region.height) for k in (0, 1)])
     except OverflowError:  # far from the origin: Python ints, shifted below like any other
-        spans = np.array(region.spans, dtype=object)
+        spans = np.array(region.spans, dtype=object).T
     left = int(spans.min())
     if bound(int(spans.max()) - left, region.height) < 2**63:
         return (spans - left).astype(np.int64, copy=False)
@@ -131,9 +132,9 @@ def _bands(spans: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     so is every taller band on their bottom row.  The row above the last ends them.
     """
     import numpy as np
-    lo, hi = np.append(spans, [[0, 0]], axis=0).T
-    top = np.arange(len(spans))  # top row of each live band, one band per bottom row
-    cur_lo, cur_hi = spans.T
+    lo, hi = np.append(spans, [[0], [0]], axis=1)
+    top = np.arange(spans.shape[1])  # top row of each live band, one band per bottom row
+    cur_lo, cur_hi = spans
     while top.size:
         yield cur_lo, cur_hi
         top += 1
@@ -152,10 +153,11 @@ def _leaf_bands(spans: np.ndarray) -> int:
     empty, so widths clipped at 0 count it as 0, and a step summing to 0 ends the walk.
     """
     import numpy as np
-    pad = np.zeros((-len(spans) % _LEAF_ROWS, 2), spans.dtype)  # empty rows fill the last block
-    lo, hi = np.concatenate((spans, pad)).reshape(-1, _LEAF_ROWS, 2).transpose(2, 1, 0).copy()
+    rows = np.zeros((2, -(-spans.shape[1] // _LEAF_ROWS) * _LEAF_ROWS), spans.dtype)
+    rows[:, :spans.shape[1]] = spans  # empty rows fill the last block
+    lo, hi = rows.reshape(2, -1, _LEAF_ROWS).transpose(0, 2, 1).copy()
     cur_lo, cur_hi, total = lo, hi, 0
-    for k in range(1, min(_LEAF_ROWS, len(spans)) + 1):
+    for k in range(1, min(_LEAF_ROWS, spans.shape[1]) + 1):
         w = (cur_hi - cur_lo).ravel()
         step = int(np.maximum(w, 0, out=w) @ (w + 1))
         if not step:
@@ -193,14 +195,14 @@ def _crossing_bands(spans: np.ndarray) -> int:
     tallest band, not at H.
     """
     import numpy as np
-    total, height, width = 0, len(spans), int(spans.max())
+    total, height, width = 0, spans.shape[1], int(spans.max())
     step = (_LEAF_ROWS, 0, height) if _LEAF_ROWS < height else None
     while step:  # inline: a helper freed each pass's arrays at once, and the heap refaulted
         s, shift, reach = step
         r, blocks = min(s, reach), -(-(height + shift) // (2 * s))
-        rows = np.zeros((2 * s * blocks, 2), spans.dtype)  # object zeros are Python ints
-        rows[shift:shift + height] = spans
-        lo, hi = rows.T.reshape(2, blocks, 2, s)
+        rows = np.zeros((2, 2 * s * blocks), spans.dtype)  # object zeros are Python ints
+        rows[:, shift:shift + height] = spans
+        lo, hi = rows.reshape(2, blocks, 2, s)
         a = np.minimum.accumulate(hi[:, 0, ::-1][:, :r], axis=1)
         p = np.maximum.accumulate(lo[:, 0, ::-1][:, :r], axis=1)
         b = np.minimum.accumulate(hi[:, 1, :r], axis=1)

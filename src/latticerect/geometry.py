@@ -9,6 +9,7 @@ below-left of its true center), at the origin.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
 from operator import index, itemgetter
 from typing import Iterator, Optional, Union
 
@@ -138,6 +139,10 @@ class Axis(_Record):
         return f"x={self.x0}"
 
 
+#: Passed by ``_piece`` alone, so that no caller's spans skip the checks.
+_MADE = object()
+
+
 class CellRegion(_Record):
     """A row-convex set of unit cells: one column interval [lo, hi) per row.
 
@@ -147,7 +152,10 @@ class CellRegion(_Record):
 
     __slots__ = ("row0", "spans")
 
-    def __init__(self, row0: int, spans: tuple[tuple[int, int], ...]):
+    def __init__(self, row0: int, spans: tuple[tuple[int, int], ...], _made=None):
+        if _made is _MADE:  # exact-int pairs with lo < hi, as _piece makes them: no checks
+            self._set(row0 if spans else 0, spans)
+            return
         if (start := _integer(row0)) is None:
             raise ShapeError(f"row0 and span bounds must be integers, got row0 {row0!r}")
         try:
@@ -366,15 +374,15 @@ def _piece(family: Family, n: int, x: int, y: int, cols: int, rows: int) -> Cell
     """
     b = 1 if family is Family.BISCUIT else 0  # a biscuit's row y is its own mirror
     if cols > 0:
-        top = [(x, x + n - j) for j in range(n)]
+        top = tuple(zip(repeat(x, n), range(x + n, x, -1)))
     elif cols < 0:
-        top = [(x + j - n + b, x) for j in range(n - b)]
+        top = tuple(zip(range(x - n + b, x), repeat(x)))
     else:
-        top = [(x + j - n + b, x + n - j) for j in range(n)]
+        top = tuple(zip(range(x - n + b, x + b), range(x + n, x, -1)))
     if rows > 0:
-        return CellRegion(y, tuple(top))
+        return CellRegion(y, top, _MADE)
     bottom = top[b:][::-1]
-    return CellRegion(y - len(bottom), tuple(bottom if rows else bottom + top))
+    return CellRegion(y - len(bottom), bottom if rows else bottom + top, _MADE)
 
 
 def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:

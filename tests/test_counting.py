@@ -190,6 +190,21 @@ def test_count_fast_past_int64_coordinates():
     assert count_fast(far) == count_fast(region) == evaluate(SequenceId.AZTEC, 40)
 
 
+def test_box_spans_gives_lo_and_hi_rows_for_tuple_and_list_rows():
+    # tuple rows, or list rows, which CellRegion keeps as they are given
+    spans = ((3, 9), (-2, 4), (0, 1))
+    for kind in (tuple, list):
+        near = _box_spans(CellRegion(5, tuple(map(kind, spans))), fast_bound)
+        assert near.dtype == np.int64 and near.tolist() == [[5, 0, 2], [11, 6, 3]]
+        far = CellRegion(5, tuple(kind((lo + 10**30, hi + 10**30)) for lo, hi in spans))
+        assert _box_spans(far, fast_bound).tolist() == near.tolist()
+        # past the int64 bound: Python ints, lo then hi as well
+        wide = CellRegion(5, tuple(kind((10**30, 10**30 + 2**40 * w)) for w in (9, 4, 1)))
+        got = _box_spans(wide, fast_bound)
+        assert got.dtype == object and got.shape == (2, 3)
+        assert got.tolist() == [[0, 0, 0], [2**40 * 9, 2**40 * 4, 2**40]]
+
+
 def test_count_fast_wide_box_far_from_the_origin():
     # 80 rows of widths about 2**40 from a common left side at 1e30: the levels
     # run on Python ints; with one lo, band c..d-1 holds C(min hi + 1, 2) rectangles

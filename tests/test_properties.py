@@ -1,5 +1,7 @@
 """Property-based checks of the counting routes on arbitrary row-convex regions,
-of the bijection maps, and of the spec and b-file text roundtrips."""
+of the bijection maps, of ``build``, and of the spec and b-file text roundtrips."""
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,3 +327,49 @@ def test_inverse_maps_refuse_rectangles_outside_the_aztec_half(inverse, case):
     if not in_aztec_half(rect, n):
         with pytest.raises(ValueError):
             inverse(rect, n)
+
+
+def rows_by_formula(spec: ShapeSpec) -> dict:
+    """{row: (lo, hi)} of spec's canonical shape, one row at a time, as ``build``'s
+    docstring states them: the whole shape's rows, then the piece's rows and columns."""
+    n, variant = spec.n, spec.variant
+    if spec.family is Family.STAIRCASE:  # the right angle on that corner of [0, n] x [0, n]
+        span = {Corner.DL: lambda j: (0, n - j), Corner.DR: lambda j: (j, n),
+                Corner.UL: lambda j: (0, j + 1), Corner.UR: lambda j: (n - 1 - j, n)}[variant]
+        return {j: span(j) for j in range(n)}
+    if spec.family in (Family.AZTEC, Family.AZTEC_HALF):
+        rows = {j: (-(n - k), n - k) for j in range(-n, n) for k in [j if j >= 0 else -j - 1]}
+    else:
+        n -= variant is Part.SMALLER  # biscuit-half larger of order n - 1
+        rows = {j: (abs(j) - n + 1, n - abs(j)) for j in range(-(n - 1), n)}
+    if variant in (Side.TOP, Part.LARGER, Part.SMALLER):
+        rows = {j: span for j, span in rows.items() if j >= 0}
+    elif variant is Side.BOTTOM:
+        rows = {j: span for j, span in rows.items() if j < 0}
+    elif variant is Side.LEFT:
+        rows = {j: (lo, min(hi, 0)) for j, (lo, hi) in rows.items() if lo < 0}
+    elif variant is Side.RIGHT:
+        rows = {j: (max(lo, 0), hi) for j, (lo, hi) in rows.items() if hi > 0}
+    return rows
+
+
+SPECS = [(family, variant) for family in Family
+         for variant in ([None] if ShapeSpec(family, 1).variant is None
+                         else type(ShapeSpec(family, 1).variant))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(SPECS), st.integers(0, 80), st.integers(-10**30, 10**30),
+       st.integers(-10**30, 10**30))
+def test_build_equals_the_per_row_formula_through_the_public_constructor(kind, n, x, y):
+    family, variant = kind
+    n = max(n, 0 if family is Family.STAIRCASE else 1)
+    spec = ShapeSpec(family, n, variant)
+    rows = rows_by_formula(spec)
+    assert sorted(rows) == list(range(min(rows, default=0), min(rows, default=0) + len(rows)))
+    expected = CellRegion(min(rows, default=0) + y,
+                          tuple((lo + x, hi + x) for _, (lo, hi) in sorted(rows.items())))
+    region = build(spec, (x, y))
+    assert region == expected and hash(region) == hash(expected)
+    assert pickle.loads(pickle.dumps(region)) == region
+    assert all(type(v) is int for span in region.spans for v in span)

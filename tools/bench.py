@@ -14,12 +14,16 @@ the working tree's ``perfbench/``, so both sides run the same harness:
 In each tree it runs ``perfbench/run.py --trace 0`` as a subprocess, once a
 side per pair and workload.  Pair i gives both sides the seed K + i; even
 pairs run the base first and odd pairs the change first, so drift on the host
-does not favour one side.  The workloads and the end-to-end metrics, with the
-direction each one improves in, come from ``BENCHMARK.json``.
+does not favour one side.  After the pairs it runs ``--trace 1`` once a side
+per workload, with seed K, for the per-layer metrics.  The workloads, the
+end-to-end and the per-layer metrics, with the direction each one improves
+in, come from ``BENCHMARK.json``.
 
 It writes ``BENCH_<L>.json`` at the repository root: both revisions, the
 seeds, the run length, and for each workload and metric both sides' values,
-medians and quartiles, the ratio change / base and the pairs the change won.
+medians and quartiles, the ratio change / base and the pairs the change won;
+under ``layers``, each workload's per-layer metrics from the traced runs,
+both sides and their ratio, which show where a change lands.
 Exit status 0 on success; 1 if any run fails or reports a wrong value (no file
 is written then); 2 for a bad argument or a revision git cannot archive.
 Only per-process time is measured, as ``perfbench/run.py`` measures it.
@@ -100,10 +104,12 @@ def build_trees(base: str, tmp: Path) -> dict[str, Path]:
     return trees
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int, dict, dict]:
+def run_side(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> tuple[int, dict, dict]:
     """One ``perfbench/run.py`` run in ``tree``: (exit code, its info line, its result)."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -115,10 +121,19 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int,
     return done.returncode, info, result
 
 
+def refused(code: int, result: dict, what: str) -> bool:
+    """Report a run that failed or gave a wrong value; True if it did."""
+    if code != 0 or not result.get("correct") or result.get("failed"):
+        print(f"error: {what} exit {code}: {json.dumps(result)[:500]}", file=sys.stderr)
+        return True
+    return False
+
+
 def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[str] | None,
             seed0: int) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    per_layer = {m["name"]: m for m in spec["per_layer"]}
     known = [w["name"] for w in spec["workloads"]]
     workloads = workloads or known
     for workload in workloads:
@@ -134,6 +149,7 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
         print(f"error: git {' '.join(err.cmd[1:])}: {err.stderr.strip()}", file=sys.stderr)
         return 2
     values = {w: {m: {side: [] for side in SIDES} for m in metrics} for w in workloads}
+    layers = {w: {m: {} for m in per_layer} for w in workloads}
     machine: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="latticerect-bench-") as tmp:
         trees = build_trees(commit, Path(tmp))
@@ -141,15 +157,21 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
             for workload in workloads:
                 for side in order(pair):
                     code, info, result = run_side(trees[side], workload, seed, seconds)
-                    if code != 0 or not result.get("correct") or result.get("failed"):
-                        print(f"error: pair {pair + 1} {workload} {side} (seed {seed}) "
-                              f"exit {code}: {json.dumps(result)[:500]}", file=sys.stderr)
+                    if refused(code, result, f"pair {pair + 1} {workload} {side} (seed {seed})"):
                         return 1
                     machine.setdefault(side, info.get("machine", {}))
                     for name in metrics:
                         values[workload][name][side].append(result["metrics"][name]["value"])
                     print(f"pair {pair + 1}/{pairs} {workload} {side} seed {seed}: solve_s "
                           f"{result['metrics']['solve_s']['value']:.5g}", file=sys.stderr)
+        for workload in workloads:
+            for side in SIDES:
+                code, _, result = run_side(trees[side], workload, seed0, seconds, trace=1)
+                if refused(code, result, f"traced {workload} {side} (seed {seed0})"):
+                    return 1
+                for name, row in layers[workload].items():
+                    row[side] = result["metrics"].get(name, {}).get("value")
+                print(f"traced {workload} {side} seed {seed0}", file=sys.stderr)
     report = {
         "label": label,
         "base": {"rev": base, "commit": commit, "dirty": False},
@@ -163,6 +185,12 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
                                              metrics[name]["better"])}
                           for name, sides in values[w].items()}
                       for w in workloads},
+        "layers": {w: {name: {"unit": per_layer[name]["unit"],
+                              "better": per_layer[name]["better"], **row,
+                              "ratio": (row["change"] / row["base"]
+                                        if row["base"] and row["change"] is not None else None)}
+                       for name, row in layers[w].items()}
+                   for w in workloads},
     }
     path = TRAIL / f"BENCH_{label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
@@ -172,6 +200,10 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
                   f"(IQR {row['base']['iqr']:.3g}) change {row['change']['median']:.5g} "
                   f"ratio {row['ratio'] if row['ratio'] is None else round(row['ratio'], 4)} "
                   f"wins {row['wins']}/{row['pairs']}")
+        for name, row in report["layers"][workload].items():
+            if name.endswith(".ms") and row["base"] and row["change"]:
+                print(f"{workload} {name} (traced): base {row['base']:.4g} "
+                      f"change {row['change']:.4g}")
     print(f"wrote {path}")
     return 0
 

@@ -15,6 +15,7 @@ import bench  # noqa: E402
 
 SPEC = json.loads((bench.ROOT / "BENCHMARK.json").read_text())
 METRICS = [m["name"] for m in SPEC["end_to_end"]]
+LAYERS = [m["name"] for m in SPEC["per_layer"]]
 
 
 def test_pairs_alternate_which_side_runs_first():
@@ -53,17 +54,23 @@ def test_a_zero_base_median_has_no_ratio():
     assert bench.summarize([0.0], [1.0], "lower")["ratio"] is None
 
 
-def _fake_runs(monkeypatch, fail=None):
+def _fake_runs(monkeypatch, fail=None, traced=None):
     """Replace the run.py subprocess: each side's solve_s is 1 (base) or 2 (change)
-    plus the seed / 1000; returns the list of (side, workload, seed) runs made."""
-    calls = []
+    plus the seed / 1000; returns the list of (side, workload, seed) untraced runs
+    made.  A traced run gives every per-layer metric 4 (base) or 3 (change) plus
+    the seed / 1000, and is listed in ``traced`` instead; ``fail`` names the
+    (side, workload, trace) run that reports a wrong value."""
+    calls, traced = [], [] if traced is None else traced
 
-    def run_side(tree, workload, seed, seconds):
+    def run_side(tree, workload, seed, seconds, trace=0):
         side = tree.name
-        calls.append((side, workload, seed))
-        value = (1.0 if side == "base" else 2.0) + seed / 1000
-        result = {"correct": (side, workload) != fail, "attempted": 3, "failed": 0,
-                  "metrics": {name: {"value": value, "unit": "x"} for name in METRICS}}
+        (traced if trace else calls).append((side, workload, seed))
+        names, value = (LAYERS, 4.0 if side == "base" else 3.0) if trace else (
+            METRICS, 1.0 if side == "base" else 2.0)
+        result = {"correct": fail not in ((side, workload), (side, workload, trace)),
+                  "attempted": 3, "failed": 0,
+                  "metrics": {name: {"value": value + seed / 1000, "unit": "x"}
+                              for name in names}}
         return 0, {"machine": {"src_lines": 10 if side == "base" else 11}}, result
 
     monkeypatch.setattr(bench, "run_side", run_side)
@@ -84,7 +91,7 @@ def test_compare_writes_every_field_of_the_bench_file(monkeypatch, tmp_path):
                      ("base", "count_tall", 42), ("change", "count_tall", 42)]
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert set(report) == {"label", "base", "change", "pairs", "seconds", "seeds", "first",
-                           "measured", "machine", "workloads"}
+                           "measured", "machine", "workloads", "layers"}
     head = bench.git("rev-parse", "HEAD")
     assert report["base"] == {"rev": "HEAD", "commit": head, "dirty": False}
     assert report["change"]["commit"] == head and isinstance(report["change"]["dirty"], bool)
@@ -100,6 +107,34 @@ def test_compare_writes_every_field_of_the_bench_file(monkeypatch, tmp_path):
         assert solve["change"]["median"] == 2.041 and solve["wins"] == 0
         assert solve["unit"] == "s" and solve["better"] == "lower"
         assert table["cells_per_s"]["wins"] == 3  # higher is better there
+
+
+def test_compare_adds_one_traced_run_per_side_and_workload(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "TRAIL", tmp_path)
+    traced = []
+    calls = _fake_runs(monkeypatch, traced=traced)
+    assert bench.main(["compare", "--base", "HEAD", "--label", "t", "--pairs", "2",
+                       "--seconds", "1", "--workloads", "count_wide,verify",
+                       "--seed0", "7"]) == 0
+    assert len(calls) == 8  # the timed pairs are unchanged
+    assert traced == [("base", "count_wide", 7), ("change", "count_wide", 7),
+                      ("base", "verify", 7), ("change", "verify", 7)]
+    layers = json.loads((tmp_path / "BENCH_t.json").read_text())["layers"]
+    assert set(layers) == {"count_wide", "verify"}
+    for table in layers.values():
+        assert list(table) == LAYERS  # every per-layer metric of BENCHMARK.json
+        build = table["geometry.build.ms"]
+        assert build == {"unit": "ms", "better": "lower", "base": 4.007, "change": 3.007,
+                         "ratio": pytest.approx(3.007 / 4.007)}
+
+
+def test_an_incorrect_traced_run_exits_1_and_writes_no_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench, "TRAIL", tmp_path)
+    _fake_runs(monkeypatch, fail=("base", "verify", 1), traced=[])
+    assert bench.main(["compare", "--base", "HEAD", "--label", "t", "--pairs", "1",
+                       "--seconds", "1", "--workloads", "verify"]) == 1
+    assert "traced verify base" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_an_incorrect_run_exits_1_and_writes_no_file(monkeypatch, tmp_path, capsys):
@@ -139,3 +174,5 @@ def test_one_real_pair_of_head_against_head(monkeypatch, tmp_path):
             for side, info in report["machine"].items()} == {"base": True, "change": True}
     solve = report["workloads"]["verify"]["solve_s"]
     assert solve["pairs"] == 1 and solve["base"]["values"][0] > 0
+    naive = report["layers"]["verify"]["counting.count_naive.calls"]
+    assert naive["base"] == naive["change"] > 0  # the same seed runs the same operations
