@@ -9,9 +9,9 @@ spans as a (2, H) array, lo then hi, and sums C(w+1, 2) over the bands: those
 inside 32-row leaves a band height per numpy step, on contiguous (leaf row,
 leaf) slabs of all leaves at once, and the rest by a divide and conquer over
 rows, a level per numpy step up to the tallest band's height and one last pass
-for the bands left, O(H log H) in all.  ``count_breakdown`` walks the bands a
-height per step too, dropping the empty ones, so it costs the bands; ``rectangles``
-lists the bands' rectangles at the cost of its output.
+for the bands left, O(H log H) in all.  ``count_breakdown`` grows all bands a
+row per step up to the tallest band's height and sums each step's non-empty ones;
+``rectangles`` lists the bands' rectangles at the cost of its output.
 ``count_formula``, the third way, applies the closed forms of :mod:`latticerect.formulas`.
 numpy is imported by the functions that use it, so only these counts load it.
 """
@@ -123,25 +123,6 @@ def _box_spans(region: CellRegion, bound: Callable[[int, int], int]) -> np.ndarr
     if bound(int(spans.max()) - left, region.height) < 2**63:
         return (spans - left).astype(np.int64, copy=False)
     return spans.astype(object) - left
-
-
-def _bands(spans: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, per band height, the columns ``[lo, hi)`` of every non-empty band.
-
-    All bands of one height grow together by one row and drop out once empty:
-    so is every taller band on their bottom row.  The row above the last ends them.
-    """
-    import numpy as np
-    lo, hi = np.append(spans, [[0], [0]], axis=1)
-    top = np.arange(spans.shape[1])  # top row of each live band, one band per bottom row
-    cur_lo, cur_hi = spans
-    while top.size:
-        yield cur_lo, cur_hi
-        top += 1
-        cur_lo = np.maximum(cur_lo, lo[top])
-        cur_hi = np.minimum(cur_hi, hi[top])
-        live = cur_lo < cur_hi
-        top, cur_lo, cur_hi = top[live], cur_lo[live], cur_hi[live]
 
 
 def _leaf_bands(spans: np.ndarray) -> int:
@@ -261,8 +242,9 @@ class CountBreakdown(_Record):
 
 
 def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
-    """Split the rectangle count by crossing class about the axis; costs the bands.
+    """Split the rectangle count by crossing class about the axis, a band height a step.
 
+    Step h sums the non-empty height-h bands, up to the tallest band's height.
     A band's crossing rectangles pair one of its p lines left of the axis with
     one of its q lines right of it.  The i-th and j-th lines out from the axis
     are equally far when i = j: centered, left- and right-heavy are i =, >, < j.
@@ -273,7 +255,13 @@ def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
         box = region.bounding_box()
         # clamped into the box; then p*q <= (W+1)^2/4 stays inside the int64 bound below
         dx = min(max(axis.double_x - 2 * box.a, -1), 2 * box.width + 1)
-        for lo, hi in _bands(_box_spans(region, lambda w, h: w * (w + 1) * h)):
+        spans = _box_spans(region, lambda w, h: w * (w + 1) * h)
+        cur_lo, cur_hi = spans  # the bands of height h, one per bottom row
+        for h in range(1, region.height + 1):
+            live = cur_lo < cur_hi
+            if not live.any():
+                break  # every taller band holds an empty one
+            lo, hi = cur_lo[live], cur_hi[live]
             p = np.maximum(np.minimum(hi, (dx - 1) // 2) - lo + 1, 0)
             q = np.maximum(hi - np.maximum(lo, dx // 2 + 1) + 1, 0)
             k = np.minimum(p, q)
@@ -282,6 +270,8 @@ def count_breakdown(region: CellRegion, axis: Axis) -> CountBreakdown:
             tally[CrossingClass.RIGHT] += int(k @ (q - 1)) - pairs
             tally[CrossingClass.CENTERED] += int(k.sum())
             tally[CrossingClass.NON_CROSSING] += int((hi - lo) @ (hi - lo + 1)) // 2 - int(p @ q)
+            cur_lo = np.maximum(cur_lo[:-1], spans[0, h:])
+            cur_hi = np.minimum(cur_hi[:-1], spans[1, h:])
     return CountBreakdown(sum(tally.values()), tally)
 
 

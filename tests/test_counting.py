@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import check_record, count_by_column_pairs, random_row_convex, symmetries
+from conftest import (check_record, classify_tally, count_by_column_pairs, random_row_convex,
+                      symmetries)
 from latticerect import counting
 from latticerect import (Axis, CellRegion, CrossingClass, Family, LatticeRect, aztec,
                          aztec_half, biscuit, biscuit_half, build, classify,
@@ -96,7 +97,7 @@ def test_count_naive_needs_no_fast_path_code(monkeypatch):
     def unused(*args):
         raise AssertionError("count_naive called into the fast path")
 
-    for name in ("_row_bands", "_bands", "_box_spans", "_leaf_bands", "_crossing_bands"):
+    for name in ("_row_bands", "_box_spans", "_leaf_bands", "_crossing_bands"):
         monkeypatch.setattr(counting, name, unused)
     assert count_naive(build(parse_shape_spec("aztec:5"))) == 855
     for family in Family:
@@ -292,12 +293,34 @@ def test_count_fast_on_every_small_region(monkeypatch, leaf):
     assert wrong == []
 
 
-def test_count_fast_needs_no_compacting_band_walk(monkeypatch):
-    # only count_breakdown drops empty bands as it walks; count_fast never calls it
-    def unused(*args):
-        raise AssertionError("count_fast called the compacting band walk")
+def test_breakdown_of_every_small_region():
+    # an axis left of the box, the middle lattice line and the middle half line:
+    # bands that die at once or part way, a walk that stops early, and no crossing
+    wrong = []
+    for spans in _small_span_tuples():
+        region = CellRegion(0, spans)
+        box = region.bounding_box()
+        for axis in (Axis(box.a - 1), Axis(box.a + box.width // 2),
+                     Axis(box.a + box.width // 2, half=True)):
+            if dict(count_breakdown(region, axis).by_class) != classify_tally(region, axis):
+                wrong.append((spans, axis))
+    assert wrong == []
 
-    monkeypatch.setattr(counting, "_bands", unused)
+
+def test_breakdown_stops_at_the_first_height_with_no_band():
+    # rows (0, 1) and (1, 2) only touch, at column 1: every band of two or more rows
+    # is empty, so the walk ends at height 2; walking all 20000 heights takes seconds
+    region = CellRegion(0, ((0, 1), (1, 2)) * 10000)
+    started = time.perf_counter()
+    breakdown = count_breakdown(region, Axis(1, half=True))
+    elapsed = time.perf_counter() - started
+    assert dict(breakdown.by_class) == {CrossingClass.LEFT: 0, CrossingClass.RIGHT: 0,
+                                        CrossingClass.CENTERED: 10000,
+                                        CrossingClass.NON_CROSSING: 10000}
+    assert elapsed < 0.5
+
+
+def test_count_fast_on_a_family_and_a_tall_walk_region():
     assert count_fast(build(aztec(40))) == evaluate(SequenceId.AZTEC, 40)
     tall = CellRegion(0, _walk_spans(random.Random(3), 3000, 8))
     assert count_fast(tall) == count_by_column_pairs(tall)

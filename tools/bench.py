@@ -17,11 +17,12 @@ pairs run the base first and odd pairs the change first, so drift on the host
 does not favour one side.  After the pairs it runs ``--trace 1`` once a side
 per workload, with seed K, for the per-layer metrics.  The workloads, the
 end-to-end and the per-layer metrics, with the direction each one improves
-in, come from ``BENCHMARK.json``.
+in and each end-to-end metric's bound, come from ``BENCHMARK.json``.
 
 It writes ``BENCH_<L>.json`` at the repository root: both revisions, the
 seeds, the run length, and for each workload and metric both sides' values,
-medians and quartiles, the ratio change / base and the pairs the change won;
+medians and quartiles, the ratio change / base, the pairs the change won and
+whether the change median is within the metric's ``bound`` of the base median;
 under ``layers``, each workload's per-layer metrics from the traced runs,
 both sides and their ratio, which show where a change lands.
 Exit status 0 on success; 1 if any run fails or reports a wrong value (no file
@@ -73,20 +74,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(base: list[float], change: list[float], better: str) -> dict:
+def summarize(base: list[float], change: list[float], better: str, bound: float) -> dict:
     """Both sides' pair values, medians and quartiles, the median ratio change / base,
-    and the pairs whose change value is strictly better than its base value."""
+    the pairs whose change value is strictly better than its base value, and whether
+    the change median is worse than the base median by at most ``bound`` of it."""
     sides = {}
     for side, values in zip(SIDES, (base, change)):
         q1, median, q3 = quartiles(values)
         sides[side] = {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
     b, c = sides["base"], sides["change"]
     beats = (lambda new, old: new < old) if better == "lower" else (lambda new, old: new > old)
+    sign = 1 if better == "lower" else -1
     return {**sides, "better": better,
             "ratio": c["median"] / b["median"] if b["median"] else None,
             "wins": sum(map(beats, change, base)), "pairs": len(base),
             "change_median_in_base_iqr": b["q1"] <= c["median"] <= b["q3"],
-            "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["iqr"]}
+            "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["iqr"],
+            "within_bound": sign * (c["median"] - b["median"]) <= bound * abs(b["median"])}
 
 
 def build_trees(base: str, tmp: Path) -> dict[str, Path]:
@@ -182,7 +186,8 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
         "machine": machine,
         "workloads": {w: {name: {"unit": metrics[name]["unit"],
                                  **summarize(sides["base"], sides["change"],
-                                             metrics[name]["better"])}
+                                             metrics[name]["better"],
+                                             metrics[name]["bound"])}
                           for name, sides in values[w].items()}
                       for w in workloads},
         "layers": {w: {name: {"unit": per_layer[name]["unit"],
@@ -199,7 +204,7 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
             print(f"{workload} {name}: base {row['base']['median']:.5g} "
                   f"(IQR {row['base']['iqr']:.3g}) change {row['change']['median']:.5g} "
                   f"ratio {row['ratio'] if row['ratio'] is None else round(row['ratio'], 4)} "
-                  f"wins {row['wins']}/{row['pairs']}")
+                  f"wins {row['wins']}/{row['pairs']} within_bound {row['within_bound']}")
         for name, row in report["layers"][workload].items():
             if name.endswith(".ms") and row["base"] and row["change"]:
                 print(f"{workload} {name} (traced): base {row['base']:.4g} "

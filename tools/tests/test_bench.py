@@ -34,24 +34,34 @@ def test_quartiles_are_inclusive_and_one_value_is_all_three():
 
 
 def test_summary_of_a_lower_is_better_metric():
-    row = bench.summarize([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.5, 2.0, 3.0, 5.0], "lower")
+    row = bench.summarize([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.5, 2.0, 3.0, 5.0], "lower", 0.25)
     assert row["base"]["median"] == 3.0 and row["change"]["median"] == 2.5
     assert (row["base"]["q1"], row["base"]["q3"], row["base"]["iqr"]) == (2.0, 4.0, 2.0)
     assert row["ratio"] == pytest.approx(2.5 / 3.0)
     assert row["wins"] == 3 and row["pairs"] == 5  # a tie (5.0 against 5.0) is no win
     assert row["change_median_in_base_iqr"] and not row["gap_exceeds_base_iqr"]
+    assert row["within_bound"]
 
 
 def test_summary_of_a_higher_is_better_metric():
-    row = bench.summarize([10.0, 10.0, 10.0], [12.0, 9.0, 13.0], "higher")
+    row = bench.summarize([10.0, 10.0, 10.0], [12.0, 9.0, 13.0], "higher", 0.1)
     assert row["wins"] == 2 and row["better"] == "higher"
     assert row["ratio"] == pytest.approx(1.2)
     assert row["base"]["iqr"] == 0.0
     assert not row["change_median_in_base_iqr"] and row["gap_exceeds_base_iqr"]
+    assert row["within_bound"]
+
+
+@pytest.mark.parametrize("better, change, within", [
+    ("lower", 1.25, True), ("lower", 1.26, False), ("lower", 0.5, True),
+    ("higher", 0.75, True), ("higher", 0.74, False), ("higher", 2.0, True),
+])
+def test_within_bound_allows_a_worse_median_by_at_most_the_bound(better, change, within):
+    assert bench.summarize([1.0], [change], better, 0.25)["within_bound"] is within
 
 
 def test_a_zero_base_median_has_no_ratio():
-    assert bench.summarize([0.0], [1.0], "lower")["ratio"] is None
+    assert bench.summarize([0.0], [1.0], "lower", 0.25)["ratio"] is None
 
 
 def _fake_runs(monkeypatch, fail=None, traced=None):
@@ -107,6 +117,8 @@ def test_compare_writes_every_field_of_the_bench_file(monkeypatch, tmp_path):
         assert solve["change"]["median"] == 2.041 and solve["wins"] == 0
         assert solve["unit"] == "s" and solve["better"] == "lower"
         assert table["cells_per_s"]["wins"] == 3  # higher is better there
+        # solve_s doubles, past its 0.25 bound; cells_per_s doubles, which is better
+        assert solve["within_bound"] is False and table["cells_per_s"]["within_bound"] is True
 
 
 def test_compare_adds_one_traced_run_per_side_and_workload(monkeypatch, tmp_path):
