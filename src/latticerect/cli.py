@@ -28,21 +28,14 @@ NAIVE_MAX_ORDER = 40
 FAST_MAX_ORDER = 20000
 #: A render writes every cell: ``render aztec:1000 --format svg`` wrote 92 MB.
 RENDER_MAX_ORDER = 1000
-_ORDER_GUARDS = {"naive": NAIVE_MAX_ORDER, "fast": FAST_MAX_ORDER}
-#: The ``--method`` routes that count a built region; ``formula`` counts from the spec.
-REGION_COUNTERS = {"naive": lambda region: _counting().count_naive(region),
-                   "fast": lambda region: _counting().count_fast(region)}
-COUNT_METHODS = (*REGION_COUNTERS, "formula")
+#: Each ``--method`` route and its order guard; ``formula`` counts from the spec, unguarded.
+COUNT_METHODS = {"naive": NAIVE_MAX_ORDER, "fast": FAST_MAX_ORDER, "formula": None}
+
 
 class CommandError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _counting():
-    from . import counting  # with the first count, not with the CLI
-    return counting
 
 
 def _parse_list(text: str, parse) -> list:
@@ -62,11 +55,12 @@ def _check_order(spec: ShapeSpec, limit: int, guard: str) -> None:
 
 def _compare_routes(spec: ShapeSpec, methods, region, timing: dict) -> tuple[dict, str]:
     """Count by each route in order, timing each: (counts, ``m=v ...`` if they disagree)."""
+    from . import counting  # with the first count, not with the CLI
     counts = {}
     for method in methods:
         started = time.perf_counter()
-        counter = REGION_COUNTERS.get(method)
-        counts[method] = counter(region) if counter else _counting().count_formula(spec)
+        counter = getattr(counting, f"count_{method}")
+        counts[method] = counter(spec if method == "formula" else region)
         timing[method] = _elapsed_ms(started)
     agree = len(set(counts.values())) == 1
     return counts, "" if agree else " ".join(f"{m}={v}" for m, v in counts.items())
@@ -76,8 +70,8 @@ def cmd_count(args) -> tuple[dict, str, int]:
     from . import counting  # here, so that no method's timer includes its import
     spec = parse_shape_spec(args.spec)
     methods = list(COUNT_METHODS) if args.method == "all" else [args.method]
-    for method in filter(_ORDER_GUARDS.__contains__, methods):  # in order: the first is named
-        _check_order(spec, _ORDER_GUARDS[method], f"{method}-method")
+    for method in filter(COUNT_METHODS.get, methods):  # in order: the first is named
+        _check_order(spec, COUNT_METHODS[method], f"{method}-method")
     # a d-digit order counts at most 4d + 1 digits; 0 is no limit, and 3.10 < 3.10.7 has none
     limit, digits = getattr(sys, "get_int_max_str_digits", lambda: 0)(), len(str(spec.n))
     if "formula" in methods and 0 < limit < 4 * digits + 1:
@@ -85,7 +79,7 @@ def cmd_count(args) -> tuple[dict, str, int]:
                            f"its count may pass Python's {limit}-digit int string limit")
     timing = {}
     region = None
-    if any(method in REGION_COUNTERS for method in methods):
+    if methods != ["formula"]:
         started = time.perf_counter()
         import numpy  # noqa: F401  the region counts load it; timed apart from them
         timing["numpy_import"] = _elapsed_ms(started)
@@ -281,7 +275,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="count lattice rectangles in one shape")
     if command == "count":
         count.add_argument("spec", help="shape spec, e.g. aztec:5, staircase:3:ul")
-        count.add_argument("--method", choices=COUNT_METHODS + ("all",),
+        count.add_argument("--method", choices=(*COUNT_METHODS, "all"),
                            default="fast", help="counting route (all = cross-check)")
         common(count, cmd_count)
 

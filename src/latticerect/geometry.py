@@ -134,9 +134,12 @@ class Axis(_Record):
         return 2 * self.x0 + (1 if self.half else 0)
 
     def __str__(self) -> str:
-        if self.half:  # double_x / 2, exact at any size: no float
-            return f"x={'-' if self.x0 < 0 else ''}{abs(self.double_x) // 2}.5"
-        return f"x={self.x0}"
+        return f"x={_halves(self.double_x)}"
+
+
+def _halves(double: int) -> str:
+    """``double / 2`` written exactly at any size: no float."""
+    return f"{'-' if double < 0 else ''}{abs(double) // 2}{'.5' if double % 2 else ''}"
 
 
 #: Passed by ``_piece`` alone, so that no caller's spans skip the checks.
@@ -295,15 +298,15 @@ def biscuit(n: int) -> ShapeSpec:
     return ShapeSpec(Family.BISCUIT, n)
 
 
-def staircase(n: int, corner: Corner = Corner.DL) -> ShapeSpec:
+def staircase(n: int, corner: Optional[Corner] = None) -> ShapeSpec:
     return ShapeSpec(Family.STAIRCASE, n, corner)
 
 
-def aztec_half(n: int, side: Side = Side.TOP) -> ShapeSpec:
+def aztec_half(n: int, side: Optional[Side] = None) -> ShapeSpec:
     return ShapeSpec(Family.AZTEC_HALF, n, side)
 
 
-def biscuit_half(n: int, part: Part = Part.LARGER) -> ShapeSpec:
+def biscuit_half(n: int, part: Optional[Part] = None) -> ShapeSpec:
     return ShapeSpec(Family.BISCUIT_HALF, n, part)
 
 

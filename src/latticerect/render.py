@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .geometry import Axis, CellRegion
+from .geometry import Axis, CellRegion, _halves
 
 
 def render_ascii(region: CellRegion, axis: Optional[Axis] = None) -> str:
@@ -37,7 +37,8 @@ def render_svg(region: CellRegion, axis: Optional[Axis] = None) -> str:
     """Unit cells as 1x1 <rect> elements in lattice coordinates, y pointing up.
 
     Output is fully determined by the region and axis: fixed styling, fixed
-    element order (top row first, left to right), no timestamps.
+    element order (top row first, left to right), no timestamps.  The axis
+    line is drawn at its exact position, also outside the bounding box.
     """
     if region.is_empty:
         return '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1"/>\n'
@@ -52,9 +53,9 @@ def render_svg(region: CellRegion, axis: Optional[Axis] = None) -> str:
             lines.append(f'<rect x="{i - box.a}" y="{y}" width="1" height="1"/>')
     lines.append("</g>")
     if axis is not None:
-        x = (axis.double_x - 2 * box.a) / 2  # the offset first, exact for a far region
+        x = _halves(axis.double_x - 2 * box.a)
         lines.append(
-            f'<line x1="{x:g}" y1="-0.5" x2="{x:g}" y2="{box.height + 0.5:g}" '
+            f'<line x1="{x}" y1="-0.5" x2="{x}" y2="{box.height}.5" '
             'stroke="#c03020" stroke-width="0.06" stroke-dasharray="0.3 0.2"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

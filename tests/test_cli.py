@@ -277,8 +277,8 @@ def test_count_times_the_numpy_import_only_for_region_methods(capsys, method, ti
 
 
 def test_count_disagreement_exits_3(capsys, monkeypatch):
-    fast = cli.REGION_COUNTERS["fast"]
-    monkeypatch.setitem(cli.REGION_COUNTERS, "fast", lambda region: fast(region) + 1)
+    fast = counting.count_fast
+    monkeypatch.setattr(counting, "count_fast", lambda region: fast(region) + 1)
     code, out, err = run(capsys, "count", "aztec:3", "--method", "all")
     assert (code, out, err) == (
         3, "aztec:3: METHOD DISAGREEMENT naive=166 fast=167 formula=166\n", "")
@@ -319,8 +319,8 @@ def test_verify_drops_repeated_families(capsys):
 
 
 def test_verify_mismatch_reports_every_family_and_exits_3(capsys, monkeypatch):
-    fast = cli.REGION_COUNTERS["fast"]
-    monkeypatch.setitem(cli.REGION_COUNTERS, "fast",
+    fast = counting.count_fast
+    monkeypatch.setattr(counting, "count_fast",
                         lambda region: fast(region) + (region.height >= 6))
     code, out, err = run(capsys, "verify", "--max-n", "4")
     assert (code, err) == (3, "")

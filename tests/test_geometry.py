@@ -221,6 +221,16 @@ def test_renders_do_not_move_with_a_far_region(spec):
         assert render(moved, Axis(far + axis.x0, axis.half)) == render(region, axis)
 
 
+@pytest.mark.parametrize("axis,x", [
+    (Axis(10**6), "1000001"), (Axis(10**6, half=True), "1000001.5"),
+    (Axis(10**400), str(10**400 + 1)), (Axis(-10**6, half=True), "-999998.5")],
+    ids=["lattice", "half", "past-float", "negative-half"])
+def test_render_svg_writes_a_far_axis_exactly(axis, x):
+    # through a float, both 10**6 axes read 1e+06 and 10**400 raised OverflowError
+    line = render_svg(build(aztec(1)), axis).splitlines()[-2]
+    assert line.startswith(f'<line x1="{x}" y1="-0.5" x2="{x}" y2="2.5" ')
+
+
 def test_numpy_row0_at_the_int64_limit_counts_as_an_int_row0():
     top = 2**63 - 1  # row0 + 1 would wrap as an int64
     region, plain = CellRegion(np.int64(top), ((0, 1),)), CellRegion(top, ((0, 1),))

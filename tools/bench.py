@@ -15,7 +15,8 @@ In each tree it runs ``perfbench/run.py --trace 0`` as a subprocess, once a
 side per pair and workload.  Pair i gives both sides the seed K + i; even
 pairs run the base first and odd pairs the change first, so drift on the host
 does not favour one side.  After the pairs it runs ``--trace 1`` once a side
-per workload, with seed K, for the per-layer metrics.  The workloads, the
+per workload on each of the first min(3, N) seeds, in the same alternated
+order, for the per-layer metrics.  The workloads, the
 end-to-end and the per-layer metrics, with the direction each one improves
 in and each end-to-end metric's bound, come from ``BENCHMARK.json``.
 
@@ -24,7 +25,8 @@ seeds, the run length, and for each workload and metric both sides' values,
 medians and quartiles, the ratio change / base, the pairs the change won and
 whether the change median is within the metric's ``bound`` of the base median;
 under ``layers``, each workload's per-layer metrics from the traced runs,
-both sides and their ratio, which show where a change lands.
+both sides' values and medians and the ratio of the medians, which show where
+a change lands.
 Exit status 0 on success; 1 if any run fails or reports a wrong value (no file
 is written then); 2 for a bad argument or a revision git cannot archive.
 Only per-process time is measured, as ``perfbench/run.py`` measures it.
@@ -46,6 +48,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: Where BENCH_<label>.json goes.
 TRAIL = ROOT
+#: The traced runs per side and workload, at most: one sample can read 1.44x on unrun code.
+TRACED_SEEDS = 3
 SIDES = ("base", "change")
 MEASURED = ("per-process time only, as perfbench/run.py measures it: no system-wide "
             "tracing, no file-cache dropping; both sides run the working tree's perfbench/")
@@ -91,6 +95,16 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
             "change_median_in_base_iqr": b["q1"] <= c["median"] <= b["q3"],
             "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["iqr"],
             "within_bound": sign * (c["median"] - b["median"]) <= bound * abs(b["median"])}
+
+
+def layer_medians(base: list, change: list) -> dict:
+    """Both sides' traced values and medians, and the ratio change / base of the
+    medians; a side that missed the metric in any run has no median."""
+    sides = {side: {"values": values,
+                    "median": None if None in values else statistics.median(values)}
+             for side, values in zip(SIDES, (base, change))}
+    b, c = sides["base"]["median"], sides["change"]["median"]
+    return {**sides, "ratio": c / b if b and c is not None else None}
 
 
 def build_trees(base: str, tmp: Path) -> dict[str, Path]:
@@ -153,7 +167,7 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
         print(f"error: git {' '.join(err.cmd[1:])}: {err.stderr.strip()}", file=sys.stderr)
         return 2
     values = {w: {m: {side: [] for side in SIDES} for m in metrics} for w in workloads}
-    layers = {w: {m: {} for m in per_layer} for w in workloads}
+    layers = {w: {m: {side: [] for side in SIDES} for m in per_layer} for w in workloads}
     machine: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="latticerect-bench-") as tmp:
         trees = build_trees(commit, Path(tmp))
@@ -168,14 +182,15 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
                         values[workload][name][side].append(result["metrics"][name]["value"])
                     print(f"pair {pair + 1}/{pairs} {workload} {side} seed {seed}: solve_s "
                           f"{result['metrics']['solve_s']['value']:.5g}", file=sys.stderr)
-        for workload in workloads:
-            for side in SIDES:
-                code, _, result = run_side(trees[side], workload, seed0, seconds, trace=1)
-                if refused(code, result, f"traced {workload} {side} (seed {seed0})"):
-                    return 1
-                for name, row in layers[workload].items():
-                    row[side] = result["metrics"].get(name, {}).get("value")
-                print(f"traced {workload} {side} seed {seed0}", file=sys.stderr)
+        for pair, seed in enumerate(seeds(seed0, min(TRACED_SEEDS, pairs))):
+            for workload in workloads:
+                for side in order(pair):
+                    code, _, result = run_side(trees[side], workload, seed, seconds, trace=1)
+                    if refused(code, result, f"traced {workload} {side} (seed {seed})"):
+                        return 1
+                    for name, row in layers[workload].items():
+                        row[side].append(result["metrics"].get(name, {}).get("value"))
+                    print(f"traced {workload} {side} seed {seed}", file=sys.stderr)
     report = {
         "label": label,
         "base": {"rev": base, "commit": commit, "dirty": False},
@@ -191,9 +206,8 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
                           for name, sides in values[w].items()}
                       for w in workloads},
         "layers": {w: {name: {"unit": per_layer[name]["unit"],
-                              "better": per_layer[name]["better"], **row,
-                              "ratio": (row["change"] / row["base"]
-                                        if row["base"] and row["change"] is not None else None)}
+                              "better": per_layer[name]["better"],
+                              **layer_medians(row["base"], row["change"])}
                        for name, row in layers[w].items()}
                    for w in workloads},
     }
@@ -206,9 +220,9 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
                   f"ratio {row['ratio'] if row['ratio'] is None else round(row['ratio'], 4)} "
                   f"wins {row['wins']}/{row['pairs']} within_bound {row['within_bound']}")
         for name, row in report["layers"][workload].items():
-            if name.endswith(".ms") and row["base"] and row["change"]:
-                print(f"{workload} {name} (traced): base {row['base']:.4g} "
-                      f"change {row['change']:.4g}")
+            base, change = row["base"]["median"], row["change"]["median"]
+            if name.endswith(".ms") and base and change:
+                print(f"{workload} {name} (traced): base {base:.4g} change {change:.4g}")
     print(f"wrote {path}")
     return 0
 

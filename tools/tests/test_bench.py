@@ -129,15 +129,45 @@ def test_compare_adds_one_traced_run_per_side_and_workload(monkeypatch, tmp_path
                        "--seconds", "1", "--workloads", "count_wide,verify",
                        "--seed0", "7"]) == 0
     assert len(calls) == 8  # the timed pairs are unchanged
+    # one traced run per side and workload on each pair's seed, up to three seeds
     assert traced == [("base", "count_wide", 7), ("change", "count_wide", 7),
-                      ("base", "verify", 7), ("change", "verify", 7)]
+                      ("base", "verify", 7), ("change", "verify", 7),
+                      ("change", "count_wide", 8), ("base", "count_wide", 8),
+                      ("change", "verify", 8), ("base", "verify", 8)]
     layers = json.loads((tmp_path / "BENCH_t.json").read_text())["layers"]
     assert set(layers) == {"count_wide", "verify"}
     for table in layers.values():
         assert list(table) == LAYERS  # every per-layer metric of BENCHMARK.json
         build = table["geometry.build.ms"]
-        assert build == {"unit": "ms", "better": "lower", "base": 4.007, "change": 3.007,
-                         "ratio": pytest.approx(3.007 / 4.007)}
+        assert build == {"unit": "ms", "better": "lower",
+                         "base": {"values": [4.007, 4.008], "median": pytest.approx(4.0075)},
+                         "change": {"values": [3.007, 3.008], "median": pytest.approx(3.0075)},
+                         "ratio": pytest.approx(3.0075 / 4.0075)}
+
+
+def test_a_traced_layer_stores_the_median_of_three_seeds(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "TRAIL", tmp_path)
+    traced = []
+    _fake_runs(monkeypatch, traced=traced)
+    fake, spread = bench.run_side, {7: 1.0, 8: 3.0, 9: 10.0}  # only the median reads 3
+
+    def run_side(tree, workload, seed, seconds, trace=0):
+        code, info, result = fake(tree, workload, seed, seconds, trace)
+        if trace:
+            scale = 1 if tree.name == "base" else 2
+            result["metrics"]["geometry.build.ms"]["value"] = scale * spread[seed]
+        return code, info, result
+
+    monkeypatch.setattr(bench, "run_side", run_side)
+    assert bench.main(["compare", "--base", "HEAD", "--label", "t", "--pairs", "5",
+                       "--seconds", "1", "--workloads", "verify", "--seed0", "7"]) == 0
+    assert [(side, seed) for side, _, seed in traced] == [
+        ("base", 7), ("change", 7), ("change", 8), ("base", 8), ("base", 9), ("change", 9)]
+    build = json.loads((tmp_path / "BENCH_t.json").read_text())["layers"]["verify"][
+        "geometry.build.ms"]
+    assert build["base"] == {"values": [1.0, 3.0, 10.0], "median": 3.0}
+    assert build["change"] == {"values": [2.0, 6.0, 20.0], "median": 6.0}
+    assert build["ratio"] == 2.0
 
 
 def test_an_incorrect_traced_run_exits_1_and_writes_no_file(monkeypatch, tmp_path, capsys):
@@ -187,4 +217,5 @@ def test_one_real_pair_of_head_against_head(monkeypatch, tmp_path):
     solve = report["workloads"]["verify"]["solve_s"]
     assert solve["pairs"] == 1 and solve["base"]["values"][0] > 0
     naive = report["layers"]["verify"]["counting.count_naive.calls"]
-    assert naive["base"] == naive["change"] > 0  # the same seed runs the same operations
+    assert naive["base"]["values"] == naive["change"]["values"]  # one traced run a side
+    assert naive["base"]["median"] == naive["change"]["median"] > 0  # same seed, same work
