@@ -19,8 +19,7 @@ _HOMES = {name: module for module, names in {
                  "biscuit_half_rects", "biscuit_rects", "evaluate", "staircase_rects"),
     "geometry": ("Axis", "CellRegion", "Corner", "Family", "LatticeRect", "Part", "ShapeError",
                  "ShapeSpec", "Side", "aztec", "aztec_half", "biscuit", "biscuit_half", "build",
-                 "parse_shape_spec", "split_half", "split_staircases", "staircase",
-                 "vertical_axis"),
+                 "parse_shape_spec", "staircase", "vertical_axis"),
     "oeis": ("BFile", "SeqCheckReport", "check", "fetch", "parse_bfile"),
     "render": ("render_ascii", "render_svg"),
 }.items() for name in names}

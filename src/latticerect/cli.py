@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -348,4 +349,5 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # nothing here calls BLAS: skip its pool
     sys.exit(main())

@@ -112,7 +112,7 @@ class _Record:
 
 
 class Axis(_Record):
-    """A vertical line used for splitting and for crossing classification.
+    """A vertical line: a shape's symmetry axis, or the axis of crossing classification.
 
     ``half=False`` puts the line on the lattice line x = x0; ``half=True`` puts
     it halfway between lattice lines, at x = x0 + 1/2 (the biscuit symmetry
@@ -176,8 +176,10 @@ class CellRegion(_Record):
                 if lo >= hi:
                     raise ShapeError(f"empty interval [{lo},{hi}) in row {k}")
                 checked.append((lo, hi))
-        except TypeError:
-            raise ShapeError("row0 and span bounds must be integers") from None
+        except ShapeError:
+            raise
+        except (TypeError, ValueError):  # also a row that does not unpack as a pair
+            raise ShapeError("row0 and span bounds must be integers and spans pairs") from None
         self._set(start if checked else 0, tuple(checked))
 
     @property
@@ -409,7 +411,10 @@ def build(spec: ShapeSpec, offset: tuple[int, int] = (0, 0)) -> CellRegion:
       sits on that corner of the box [0, n] x [0, n]: dl keeps columns and rows
       >= 0, so row j spans [0, n-j); ul, ur and dr are its reflections.
     """
-    x, y = map(_integer, offset)
+    try:
+        x, y = map(_integer, offset)
+    except (TypeError, ValueError):  # not a pair
+        x = None
     if x is None or y is None:
         raise ShapeError(f"offset must be two integers, got {offset!r}")
     whole, dn, cols, rows = _PIECES[spec.variant or spec.family]
@@ -430,40 +435,3 @@ def vertical_axis(spec: ShapeSpec) -> Axis:
     if cols:
         raise ShapeError(f"{spec} has no vertical symmetry axis")
     return Axis(0, half=whole is Family.BISCUIT)
-
-
-def split_half(spec: ShapeSpec) -> tuple[CellRegion, CellRegion, Axis]:
-    """Split a canonical Aztec diamond or biscuit vertically into its two halves.
-
-    The cut runs along the lattice line x = 0 through the center (Aztec) or
-    quasi-center (biscuit); the horizontal halves are ``build``'s top, bottom,
-    larger and smaller pieces.  Returns (left part, right part, axis), where
-    the axis is ``vertical_axis(spec)``: the cut line itself for an Aztec
-    diamond, and the half-unit line just right of the cut for a biscuit.  An
-    Aztec diamond splits into congruent halves, ``build``'s left and right
-    pieces; a biscuit's right part is larger by one column (n^2 cells against
-    (n-1)^2).
-    """
-    if spec.family not in (Family.AZTEC, Family.BISCUIT):
-        raise ShapeError(f"split_half applies to aztec or biscuit, not {spec}")
-    left, right = (_piece(spec.family, spec.n, 0, 0, cols, 0) for cols in (-1, 1))
-    return left, right, vertical_axis(spec)
-
-
-def split_staircases(spec: ShapeSpec) -> list[tuple[ShapeSpec, CellRegion]]:
-    """Decompose an Aztec diamond or biscuit into four labeled staircases.
-
-    The vertical and horizontal lattice lines through the center/quasi-center
-    cut the canonical region into the quadrants of the ``Corner`` pieces, in
-    place, one staircase of each orientation: orders (n, n, n, n) for an Aztec
-    diamond and (n, n-1, n-2, n-1) for a biscuit (dl, dr, ur, ul), where order
-    0 is the empty region.  Biscuits of order 1 are a single cell and cannot be
-    decomposed.
-    """
-    if spec.family not in (Family.AZTEC, Family.BISCUIT):
-        raise ShapeError(f"split_staircases applies to aztec or biscuit, not {spec}")
-    if spec.family is Family.BISCUIT and spec.n < 2:
-        raise ShapeError("a biscuit of order 1 has no four-staircase decomposition")
-    quads = ((corner, _piece(spec.family, spec.n, 0, 0, cols, rows))
-             for corner, (_, _, cols, rows) in _PIECES.items() if isinstance(corner, Corner))
-    return [(staircase(q.height, corner), q) for corner, q in quads]

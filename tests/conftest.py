@@ -6,8 +6,8 @@ import threading
 
 import pytest
 
-from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, bijections, classify,
-                         oeis, rectangles)
+from latticerect import (Axis, CellRegion, Corner, CrossingClass, Family, LatticeRect, ShapeSpec,
+                         bijections, build, classify, oeis, rectangles, staircase)
 
 
 def random_row_convex(rng: random.Random, box: int = 12) -> CellRegion:
@@ -44,6 +44,25 @@ def rect_cells(rect: LatticeRect) -> set:
 def flip_x(region: CellRegion) -> CellRegion:
     """The mirror image across the line x = 0: cell (i, j) goes to (-i-1, j)."""
     return CellRegion(region.row0, tuple((-hi, -lo) for lo, hi in region.spans))
+
+
+#: How much lower than n the order of each corner's staircase is in a biscuit; 0 in an aztec.
+_BISCUIT_ORDER_DROP = {Corner.DL: 0, Corner.DR: 1, Corner.UR: 2, Corner.UL: 1}
+
+
+def quadrants(spec: ShapeSpec) -> list[tuple[ShapeSpec, CellRegion]]:
+    """An order-n aztec, or biscuit with n >= 2, as four staircases that ``build``
+    places with their right angles at the center or quasi-center: orders n, n, n, n
+    (aztec) or n, n-1, n-2, n-1 (biscuit) at corners dl, dr, ur, ul, where order 0
+    is the empty region."""
+    parts = []
+    for corner, drop in _BISCUIT_ORDER_DROP.items():
+        m = spec.n - (drop if spec.family is Family.BISCUIT else 0)
+        x = -m if corner in (Corner.DR, Corner.UR) else 0
+        y = -m if corner in (Corner.UR, Corner.UL) else 0
+        label = staircase(m, corner)
+        parts.append((label, build(label, (x, y))))
+    return parts
 
 
 def symmetries(region: CellRegion) -> list[CellRegion]:

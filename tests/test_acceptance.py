@@ -11,12 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_row_convex
+from conftest import quadrants, random_row_convex
 from latticerect import (Axis, CrossingClass, aztec, aztec_half,
                          aztec_half_rects, aztec_rects, biscuit, biscuit_half,
                          biscuit_half_rects, biscuit_rects, build,
                          count_breakdown, count_fast, count_naive, evaluate,
-                         staircase, staircase_rects, split_staircases,
+                         staircase, staircase_rects,
                          verify_bijection)
 from latticerect.bijections import BIJECTION_NAMES
 from latticerect.cli import main
@@ -172,7 +172,7 @@ def test_criterion_5_oeis_fixture_terms(fake_download):
 def test_criterion_6_geometry_partitions():
     for n in range(1, 51):
         whole = build(aztec(n))
-        parts = split_staircases(aztec(n))
+        parts = quadrants(aztec(n))
         assert sorted(spec.n for spec, _ in parts) == [n] * 4
         seen = set()
         for _, region in parts:
@@ -182,7 +182,7 @@ def test_criterion_6_geometry_partitions():
         assert seen == set(whole.cells())
     for n in range(2, 51):
         whole = build(biscuit(n))
-        parts = split_staircases(biscuit(n))
+        parts = quadrants(biscuit(n))
         assert sorted(spec.n for spec, _ in parts) == sorted([n, n - 1, n - 1, n - 2])
         seen = set()
         for spec, region in parts:

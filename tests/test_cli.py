@@ -605,9 +605,17 @@ def test_module_entry_point_in_process(monkeypatch, capsys):
 @pytest.mark.parametrize("argv,code", [(["oeis", "--terms", "1"], 0), (["count", "aztec:0"], 2)])
 def test_console_script_entry_point(monkeypatch, capsys, argv, code):
     monkeypatch.setattr(sys, "argv", ["latticerect", *argv])
-    with pytest.raises(SystemExit) as exited:
-        entry_point()
-    assert exited.value.code == code
+    # nothing calls BLAS, so the process starts no OpenBLAS thread pool unless the user asks
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # so that the test restores the variable
+    for preset, expected in [(None, "1"), ("3", "3")]:
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        with pytest.raises(SystemExit) as exited:
+            entry_point()
+        assert exited.value.code == code
+        assert os.environ["OPENBLAS_NUM_THREADS"] == expected
 
 
 def test_usage_error_exit_code():

@@ -5,25 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import check_four_tuple, check_record, flip_x
+from conftest import check_four_tuple, check_record, flip_x, quadrants
 from latticerect import (Axis, CellRegion, Corner, Family, LatticeRect, Part,
                          Quadruple, ShapeError, ShapeSpec, Side, aztec,
                          aztec_half, biscuit, biscuit_half, build,
-                         parse_shape_spec, split_half,
-                         split_staircases, staircase, vertical_axis)
+                         parse_shape_spec, staircase, vertical_axis)
 from latticerect import (count_breakdown, count_fast, count_naive, rectangles,
                          render_ascii, render_svg)
 
 VARIANTS = {v.value: v for kind in (Corner, Side, Part) for v in kind}
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def normalized(region: CellRegion) -> CellRegion:
-    """Translate so the bounding box's lower-left corner is the origin."""
-    if region.is_empty:
-        return region
-    box = region.bounding_box()
-    return region.translate(-box.a, -box.c)
 
 
 def row_widths(region: CellRegion) -> list[int]:
@@ -105,9 +96,11 @@ def test_build_offset_translates():
     assert moved == build(aztec(1)).translate(3, 4)
 
 
-@pytest.mark.parametrize("offset", [(True, 0), (0, False), (0.5, 0), ("1", 0)])
+@pytest.mark.parametrize("offset", [(True, 0), (0, False), (0.5, 0), ("1", 0),
+                                    (1,), (1, 2, 3), 5, None])
 def test_build_refuses_a_non_integer_offset(offset):
-    # index() takes a bool as 0 or 1; a float or str would reach the spans
+    # index() takes a bool as 0 or 1; a float or str would reach the spans; the
+    # last four are not pairs
     with pytest.raises(ShapeError, match="offset must be two integers"):
         build(aztec(2), offset)
 
@@ -150,6 +143,9 @@ def test_build_placements_match_golden():
     (True, ((0, 1),)),
     (np.bool_(True), ((0, 1),)),
     (0, ((False, True), (0, 2))),  # it used to build and count 5
+    (0, ((1, 2, 3),)),  # rows that are not pairs
+    (0, ((1,),)),
+    (0, [(0, 2), (1, 2, 3)]),  # the same past the int-pair loop
 ])
 def test_region_refuses_non_integer_coordinates(row0, spans):
     with pytest.raises(ShapeError, match="must be integers"):
@@ -333,11 +329,22 @@ def test_contains_rect_closed_form_on_half_diamond(n):
 
 
 # --- splits ----------------------------------------------------------------
+# The cuts through the center or quasi-center are pieces that build makes: an
+# aztec's left and right halves, and the four staircases of ``quadrants``.
+
+def side_cells(spec: ShapeSpec) -> tuple[set, set]:
+    """The cells of spec's quadrants left and right of the cut x = 0: the dr and
+    ur staircases extend left of their right angles, the dl and ul ones right."""
+    left, right = set(), set()
+    for label, region in quadrants(spec):
+        (left if label.variant in (Corner.DR, Corner.UR) else right).update(region.cells())
+    return left, right
+
 
 def test_split_half_aztec_2():
     region = build(aztec(2))
-    left, right, axis = split_half(aztec(2))
-    assert axis == Axis(0)
+    left, right = build(aztec_half(2, Side.LEFT)), build(aztec_half(2, Side.RIGHT))
+    assert vertical_axis(aztec(2)) == Axis(0)
     assert left.cell_count == right.cell_count == 6
     assert set(left.cells()) | set(right.cells()) == set(region.cells())
     assert not set(left.cells()) & set(right.cells())
@@ -346,45 +353,43 @@ def test_split_half_aztec_2():
 
 def test_split_half_biscuit_axis_and_sizes():
     # the cell cut runs through the quasi-center; the symmetry axis sits at x=1/2
-    left, right, axis = split_half(biscuit(2))
-    assert axis == Axis(0, half=True)
-    assert (left.cell_count, right.cell_count) == (1, 4)
-    lb, rb = left.bounding_box(), right.bounding_box()
-    assert rb.width == lb.width + 1  # larger part has one more column
+    left, right = side_cells(biscuit(2))
+    assert vertical_axis(biscuit(2)) == Axis(0, half=True)
+    assert (len(left), len(right)) == (1, 4)
+    lw, rw = (len({i for i, _ in cells}) for cells in (left, right))
+    assert rw == lw + 1  # larger part has one more column
 
 
 def test_split_half_biscuit_1():
-    left, right, _ = split_half(biscuit(1))
-    assert left.is_empty
-    assert right.cell_count == 1
+    # one cell, right of the cut x = 0: the whole biscuit is its dl staircase
+    region = build(biscuit(1))
+    assert region == build(staircase(1, Corner.DL))
+    assert region.cell_count == 1
 
 
 @pytest.mark.parametrize("make", [aztec, biscuit])
 def test_split_half_partitions(make):
-    for n in range(1, 51):
+    for n in range(1 if make is aztec else 2, 51):
         region = build(make(n))
-        left, right, _ = split_half(make(n))
-        assert left.cell_count + right.cell_count == region.cell_count
-        cells = set(left.cells())
-        assert not cells & set(right.cells())
-        assert cells | set(right.cells()) == set(region.cells())
+        left, right = side_cells(make(n))
+        sizes = (n * (n + 1),) * 2 if make is aztec else ((n - 1) ** 2, n ** 2)
+        assert (len(left), len(right)) == sizes
+        assert len(left) + len(right) == region.cell_count
+        assert not left & right
+        assert left | right == set(region.cells())
+        assert all(i < 0 for i, _ in left) and all(i >= 0 for i, _ in right)
 
 
 def test_split_half_of_an_aztec_gives_its_left_and_right_halves():
     for n in range(1, 31):
-        left, right, axis = split_half(aztec(n))
-        assert left == build(aztec_half(n, Side.LEFT))
-        assert right == build(aztec_half(n, Side.RIGHT))
-        assert axis == vertical_axis(aztec(n))
-
-
-def test_split_half_rejects_other_families():
-    with pytest.raises(ShapeError, match="split_half applies to aztec or biscuit"):
-        split_half(staircase(3))
+        left, right = side_cells(aztec(n))
+        assert set(build(aztec_half(n, Side.LEFT)).cells()) == left
+        assert set(build(aztec_half(n, Side.RIGHT)).cells()) == right
+        assert vertical_axis(aztec(n)) == Axis(0)
 
 
 def test_split_staircases_aztec_4():
-    parts = split_staircases(aztec(4))
+    parts = quadrants(aztec(4))
     assert [spec.n for spec, _ in parts] == [4, 4, 4, 4]
     assert {spec.variant for spec, _ in parts} == set(Corner)
     whole = set(build(aztec(4)).cells())
@@ -397,28 +402,25 @@ def test_split_staircases_aztec_4():
 
 
 def test_split_staircases_biscuit_orders():
-    parts = split_staircases(biscuit(4))
+    parts = quadrants(biscuit(4))
     assert sorted(spec.n for spec, _ in parts) == [2, 3, 3, 4]
-    parts = split_staircases(biscuit(2))
+    parts = quadrants(biscuit(2))
     assert sorted(spec.n for spec, _ in parts) == [0, 1, 1, 2]
     empty = [region for spec, region in parts if spec.n == 0]
     assert len(empty) == 1 and empty[0].is_empty
 
 
 def test_split_staircases_parts_match_their_labels():
+    # each staircase is the whole shape's quadrant on the sides of x = 0 and
+    # y = 0 that it extends to from its right angle, one row per order
     for spec in [aztec(1), aztec(5), biscuit(2), biscuit(6)]:
-        for label, region in split_staircases(spec):
-            assert normalized(region) == normalized(build(label))
-
-
-def test_split_staircases_biscuit_1_rejected():
-    with pytest.raises(ShapeError):
-        split_staircases(biscuit(1))
-
-
-def test_split_staircases_rejects_other_families():
-    with pytest.raises(ShapeError):
-        split_staircases(staircase(4))
+        whole = set(build(spec).cells())
+        for label, region in quadrants(spec):
+            right = label.variant in (Corner.DL, Corner.UL)
+            up = label.variant in (Corner.DL, Corner.DR)
+            quadrant = {(i, j) for i, j in whole if (i >= 0) == right and (j >= 0) == up}
+            assert set(region.cells()) == quadrant
+            assert region.height == label.n
 
 
 # --- region validation ------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import latticerect
-from latticerect import CellRegion, LatticeRect, oeis
+from latticerect import CellRegion, LatticeRect, geometry, oeis
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -48,9 +48,12 @@ def test_a_fresh_import_loads_each_module_on_first_use():
 
 
 def test_removed_names_stay_removed():
-    for name in ("Dihedral", "transform", "format_bfile", "binomial"):
+    for name in ("Dihedral", "transform", "format_bfile", "binomial", "split_half",
+                 "split_staircases"):
         assert name not in latticerect.__all__ and not hasattr(latticerect, name)
+        assert name not in dir(latticerect)
     assert not hasattr(oeis, "format_bfile")
+    assert not any(hasattr(geometry, name) for name in ("split_half", "split_staircases"))
     assert not any(hasattr(CellRegion, name)
                    for name in ("from_cells", "row_span", "__contains__", "rows"))
     assert not hasattr(LatticeRect, "cells")
