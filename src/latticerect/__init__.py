@@ -9,10 +9,7 @@ __version__ = "0.1.0"
 
 #: Each public name's home module, which ``__getattr__`` imports on the name's first use.
 _HOMES = {name: module for module, names in {
-    "bijections": ("BijectionReport", "Quadruple", "anchor_centered", "expand_to_aztec_half",
-                   "fold_left_heavy", "quadruple_to_staircase", "shrink_to_biscuit_half",
-                   "staircase_to_quadruple", "unanchor_centered", "unfold_left_heavy",
-                   "verify_bijection"),
+    "bijections": ("BijectionReport", "Quadruple", "verify_bijection"),
     "counting": ("CountBreakdown", "CrossingClass", "classify", "count_breakdown",
                  "count_fast", "count_formula", "count_naive", "rectangles"),
     "formulas": ("OEIS_IDS", "SequenceId", "aztec_half_rects", "aztec_rects",

@@ -2,11 +2,10 @@
 
 Each map is a concrete coordinate transformation between two finite rectangle
 families, paired with its inverse; ``_COORDS`` writes each pair once, as integer
-affine maps of (a, b, c, d) given the order n.  A public map refuses, with ``_require``,
-every rectangle outside its domain, then runs its table entry.  ``verify_bijection``
-runs the entries alone on the domain that ``_MAPS`` lists, with ``rectangles`` or
-``_crossing_rects``, and checks injectivity, surjectivity and the roundtrip against the
-codomain it lists the same way, so the closed forms' identities are replayed.
+affine maps of (a, b, c, d) given the order n.  ``verify_bijection`` runs the entries
+on the domain that ``_MAPS`` lists, with ``rectangles`` or ``_crossing_rects``, and
+checks injectivity, surjectivity and the roundtrip against the codomain it lists the
+same way, so the closed forms' identities are replayed.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ import functools
 import itertools
 from typing import Callable, Optional
 
-from .counting import CrossingClass, _row_bands, classify, rectangles
+from .counting import CrossingClass, _row_bands, rectangles
 from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, _Four, _integer, _Record,
                        aztec_half, biscuit_half, build, staircase, vertical_axis)
 
@@ -28,18 +27,8 @@ _CROSSING = (CrossingClass.LEFT, CrossingClass.CENTERED, CrossingClass.RIGHT)
 
 @functools.lru_cache(maxsize=8)
 def _built(shape: Callable[[int], ShapeSpec], n: int) -> CellRegion:
-    """build(shape(n)), once per shape and order: the maps check containment per rectangle."""
+    """build(shape(n)), once per shape and order: the maps verified at one order share it."""
     return build(shape(n))
-
-
-def _require(rect: LatticeRect, shape: Callable[[int], ShapeSpec], n: int,
-             axis: Optional[Axis] = None, classes: tuple = _CROSSING) -> LatticeRect:
-    """The rectangle, refused if outside shape(n) or, given an axis, the classes about it."""
-    if not _built(shape, n).contains_rect(rect):
-        raise ValueError(f"{rect} is not inside {shape(n)}")
-    if axis is not None and (cls := classify(rect, axis)) not in classes:
-        raise ValueError(f"{rect} is {cls.name} about {axis}")
-    return rect
 
 
 def _crossing_rects(region: CellRegion, axis: Axis,
@@ -70,88 +59,22 @@ class Quadruple(_Four):
         return self
 
 
-#: name -> (forward, inverse), each called as (rect, n) on its domain, unguarded; the
-#: quadruple map is one formula both ways, made as a Quadruple and as a LatticeRect.
+#: name -> (forward, inverse), each called as (rect, n) on its domain; the quadruple
+#: map is one formula both ways, made as a Quadruple and as a LatticeRect.
 _COORDS: dict[str, tuple[Callable, Callable]] = {
+    # y -> n+2-y sets the staircase above y = x + 1, where 0 <= a < b < c < d <= n+2
     "quadruple": tuple(map(lambda make: lambda r, n: make(r[0], r[1], n + 2 - r[3], n + 2 - r[2]),
                            (Quadruple, LatticeRect))),
+    # reflect across x = 0, drop the right part: staircase(n-1), one column right of the axis
     "type_l": (lambda r, _n: LatticeRect(r[1], -r[0], r[2], r[3]),
                lambda r, _n: LatticeRect(-r[1], r[0], r[2], r[3])),
+    # a centered [-b, b] x [c, d] is identified with its right part [0, b] x [c, d]
     "type_c": (lambda r, _n: LatticeRect(0, r[1], r[2], r[3]),
                lambda r, _n: LatticeRect(-r[1], r[1], r[2], r[3])),
+    # a column inserted left of the biscuit half's axis makes the aztec half: [a-1, b] x [c, d]
     "biscuit_expand": (lambda r, _n: LatticeRect(r[0] - 1, r[1], r[2], r[3]),
                        lambda r, _n: LatticeRect(r[0] + 1, r[1], r[2], r[3])),
 }
-
-
-def staircase_to_quadruple(rect: LatticeRect, n: int) -> Quadruple:
-    """Encode a rectangle of the canonical order-n dl staircase as a quadruple.
-
-    The staircase is flipped onto the frame where it sits above the line
-    y = x + 1 with rows 2..n+1 (y -> n+2-y); there a contained rectangle
-    [a, b] x [c, d] satisfies exactly 0 <= a < b < c < d <= n+2, so its own
-    coordinates are the encoding.
-    """
-    return _COORDS["quadruple"][0](_require(rect, staircase, n), n)
-
-
-def quadruple_to_staircase(q: Quadruple, n: int) -> LatticeRect:
-    """Inverse of staircase_to_quadruple; requires a quadruple with d <= n + 2."""
-    q = Quadruple(*q)  # refuses a plain tuple that is not one
-    if q.d > n + 2:
-        raise ValueError(f"{q} exceeds the order-{n} bound {n + 2}")
-    return _COORDS["quadruple"][1](q, n)
-
-
-def fold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
-    """Map a left-heavy crossing rectangle of the top half diamond inward.
-
-    Reflecting the rectangle's left part across the axis x = 0 and removing
-    the right part leaves the strip [b, -a] x [c, d], which lands in the
-    order-(n-1) staircase one column right of the axis.
-    """
-    rect = _require(rect, aztec_half, n, _AZTEC_AXIS, (CrossingClass.LEFT,))
-    return _COORDS["type_l"][0](rect, n)
-
-
-def unfold_left_heavy(rect: LatticeRect, n: int) -> LatticeRect:
-    """Inverse of fold_left_heavy: [u, v] x [c, d] back to [-v, u] x [c, d]."""
-    a, b, c, d = rect
-    if a < 1:
-        raise ValueError(f"{rect} does not lie strictly right of the axis")
-    return _COORDS["type_l"][1](_require(rect, aztec_half, n), n)
-
-
-def anchor_centered(rect: LatticeRect) -> LatticeRect:
-    """Identify a centered rectangle [-b, b] x [c, d] with its right part."""
-    a, b, c, d = rect
-    if a != -b:
-        raise ValueError(f"{rect} is not centered on the axis x=0")
-    return _COORDS["type_c"][0](rect, None)
-
-
-def unanchor_centered(rect: LatticeRect) -> LatticeRect:
-    """Mirror an axis-anchored rectangle back to its centered original."""
-    a, b, c, d = rect
-    if a != 0:
-        raise ValueError(f"{rect} does not have its left side on the axis x=0")
-    return _COORDS["type_c"][1](rect, None)
-
-
-def expand_to_aztec_half(rect: LatticeRect, n: int) -> LatticeRect:
-    """Widen a crossing rectangle of the larger biscuit half by one column.
-
-    Inserting a full-height column just left of the half-unit axis turns the
-    larger half of an order-n biscuit into the top half of an order-n Aztec
-    diamond; a rectangle whose interior meets the axis grows with it, to
-    [a-1, b] x [c, d], which crosses the new diamond's axis x = 0.
-    """
-    return _COORDS["biscuit_expand"][0](_require(rect, biscuit_half, n, _BISCUIT_AXIS), n)
-
-
-def shrink_to_biscuit_half(rect: LatticeRect, n: int) -> LatticeRect:
-    """Inverse of expand_to_aztec_half: drop the inserted column."""
-    return _COORDS["biscuit_expand"][1](_require(rect, aztec_half, n, _AZTEC_AXIS), n)
 
 
 class BijectionReport(_Record):
@@ -196,7 +119,7 @@ def verify_bijection(name: str, n: int) -> BijectionReport:
     Any failure is reported with a concrete counterexample: the offending
     domain element plus its image, or its broken roundtrip.
     """
-    if name not in _MAPS:
+    if name not in BIJECTION_NAMES:  # by ==, so an unhashable name is unknown too
         raise ValueError(f"unknown bijection {name!r}; known: {', '.join(_MAPS)}")
     if (order := _integer(n)) is None or not 1 <= order <= MAX_VERIFY_ORDER:
         raise ValueError(f"order must be an integer in 1..{MAX_VERIFY_ORDER}, got {n!r}")

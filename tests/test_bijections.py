@@ -6,14 +6,9 @@ import pytest
 from conftest import (check_four_tuple, check_record, refuse_type_l_forward,
                       refuse_type_l_inverse)
 from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, Quadruple, ShapeSpec,
-                         anchor_centered, aztec_half, biscuit_half,
-                         build, classify, expand_to_aztec_half,
-                         fold_left_heavy, quadruple_to_staircase, rectangles,
-                         shrink_to_biscuit_half, staircase,
-                         staircase_to_quadruple, staircase_rects,
-                         unanchor_centered, unfold_left_heavy,
-                         verify_bijection)
-from latticerect import bijections
+                         aztec_half, biscuit_half, build, classify, rectangles, staircase,
+                         staircase_rects, verify_bijection)
+from latticerect import bijections, counting
 from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER, BijectionReport
 
 s = staircase_rects
@@ -28,38 +23,40 @@ def crossing_rects(spec, axis, wanted=None):
     return out
 
 
+def on_domain(name, n):
+    """The domain that ``_MAPS`` lists for the named map at order n, and its ``_COORDS`` pair."""
+    return (bijections._MAPS[name](n)[0], *bijections._COORDS[name])
+
+
 # --- quadruple encoding -------------------------------------------------------
 
 def test_single_cell_staircase_encodes_to_0123():
-    assert staircase_to_quadruple(LatticeRect(0, 1, 0, 1), 1) == Quadruple(0, 1, 2, 3)
+    domain, forward, _ = on_domain("quadruple", 1)
+    assert domain == [LatticeRect(0, 1, 0, 1)]
+    assert forward(LatticeRect(0, 1, 0, 1), 1) == Quadruple(0, 1, 2, 3)
 
 
 def test_order_2_rects_biject_with_quadruples():
-    quads = {staircase_to_quadruple(r, 2) for r in rectangles(build(staircase(2)))}
+    domain, forward, _ = on_domain("quadruple", 2)
+    assert domain == list(rectangles(build(staircase(2))))
+    quads = {forward(r, 2) for r in domain}
     assert quads == {Quadruple(*combo) for combo in itertools.combinations(range(5), 4)}
     assert len(quads) == comb(5, 4) == 5
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_quadruple_roundtrip(n):
-    for rect in rectangles(build(staircase(n))):
-        q = staircase_to_quadruple(rect, n)
+    domain, forward, inverse = on_domain("quadruple", n)
+    for rect in domain:
+        q = forward(rect, n)
         assert 0 <= q.a < q.b < q.c < q.d <= n + 2
-        assert quadruple_to_staircase(q, n) == rect
-
-
-def test_quadruple_rejects_outside_rect():
-    with pytest.raises(ValueError):
-        staircase_to_quadruple(LatticeRect(1, 2, 1, 2), 2)
+        assert inverse(q, n) == rect
 
 
 def test_quadruple_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        quadruple_to_staircase(Quadruple(0, 1, 2, 6), 3)
-    # plain tuples with d <= n + 2 that are no quadruple; (2, 4, 0, 3) maps outside staircase(5)
     for q in [(2, 4, 0, 3), (-1, 1, 2, 3), (0, 1, 2, 3.5), (0, 1, 2, True)]:
         with pytest.raises(ValueError):
-            quadruple_to_staircase(q, 5)
+            Quadruple(*q)
     with pytest.raises(ValueError):
         Quadruple(0, 2, 2, 3)
     with pytest.raises(ValueError):
@@ -96,37 +93,37 @@ def test_quadruple_takes_numpy_integers_as_ints():
 # --- left-heavy fold ----------------------------------------------------------
 
 def test_fold_left_heavy_wide_example():
-    assert fold_left_heavy(LatticeRect(-3, 2, 1, 3), 7) == LatticeRect(2, 3, 1, 3)
+    domain, forward, _ = on_domain("type_l", 7)
+    assert LatticeRect(-3, 2, 1, 3) in domain
+    assert forward(LatticeRect(-3, 2, 1, 3), 7) == LatticeRect(2, 3, 1, 3)
 
 
 def test_fold_left_heavy_minimal_case():
     lefts = crossing_rects(aztec_half(2), Axis(0), CrossingClass.LEFT)
     assert lefts == [LatticeRect(-2, 1, 0, 1)]  # the single left-heavy rect
-    assert fold_left_heavy(lefts[0], 2) == LatticeRect(1, 2, 0, 1)
+    domain, forward, _ = on_domain("type_l", 2)
+    assert domain == lefts
+    assert forward(lefts[0], 2) == LatticeRect(1, 2, 0, 1)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_fold_left_heavy_roundtrip(n):
-    for rect in crossing_rects(aztec_half(n), Axis(0), CrossingClass.LEFT):
-        folded = fold_left_heavy(rect, n)
+    domain, forward, inverse = on_domain("type_l", n)
+    assert domain == crossing_rects(aztec_half(n), Axis(0), CrossingClass.LEFT)
+    for rect in domain:
+        folded = forward(rect, n)
         assert folded.a >= 1
-        assert unfold_left_heavy(folded, n) == rect
-
-
-def test_fold_left_heavy_rejects_wrong_class():
-    with pytest.raises(ValueError):
-        fold_left_heavy(LatticeRect(-1, 1, 0, 1), 2)  # centered, not left-heavy
-    with pytest.raises(ValueError):
-        fold_left_heavy(LatticeRect(-5, 1, 0, 1), 2)  # not contained
-    with pytest.raises(ValueError):
-        unfold_left_heavy(LatticeRect(0, 1, 0, 1), 2)  # touches the axis
+        assert inverse(folded, n) == rect
 
 
 # --- centered anchoring ---------------------------------------------------------
 
 def test_anchor_centered_example():
-    assert anchor_centered(LatticeRect(-2, 2, 0, 1)) == LatticeRect(0, 2, 0, 1)
-    assert unanchor_centered(LatticeRect(0, 2, 0, 1)) == LatticeRect(-2, 2, 0, 1)
+    domain, codomain = bijections._MAPS["type_c"](2)[:2]
+    assert LatticeRect(-2, 2, 0, 1) in domain and LatticeRect(0, 2, 0, 1) in codomain
+    forward, inverse = bijections._COORDS["type_c"]
+    assert forward(LatticeRect(-2, 2, 0, 1), 2) == LatticeRect(0, 2, 0, 1)
+    assert inverse(LatticeRect(0, 2, 0, 1), 2) == LatticeRect(-2, 2, 0, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -135,39 +132,30 @@ def test_anchored_rect_count(n):
     assert len(anchored) == s(n) - s(n - 1)
 
 
-def test_anchor_rejects_wrong_rects():
-    with pytest.raises(ValueError):
-        anchor_centered(LatticeRect(-2, 1, 0, 1))
-    with pytest.raises(ValueError):
-        unanchor_centered(LatticeRect(1, 2, 0, 1))
-
-
 # --- biscuit column insertion ----------------------------------------------------
 
 def test_expand_wide_example():
-    assert expand_to_aztec_half(LatticeRect(-1, 3, 1, 3), 6) == LatticeRect(-2, 3, 1, 3)
+    domain, forward, _ = on_domain("biscuit_expand", 6)
+    assert LatticeRect(-1, 3, 1, 3) in domain
+    assert forward(LatticeRect(-1, 3, 1, 3), 6) == LatticeRect(-2, 3, 1, 3)
 
 
 def test_expand_order_2_onto_crossing_rects():
-    domain = crossing_rects(biscuit_half(2), Axis(0, half=True))
+    domain, forward, _ = on_domain("biscuit_expand", 2)
+    assert domain == crossing_rects(biscuit_half(2), Axis(0, half=True))
     assert len(domain) == s(2) + s(1) == 6
-    images = {expand_to_aztec_half(r, 2) for r in domain}
+    images = {forward(r, 2) for r in domain}
     assert images == set(crossing_rects(aztec_half(2), Axis(0)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_expand_roundtrip(n):
-    for rect in crossing_rects(biscuit_half(n), Axis(0, half=True)):
-        grown = expand_to_aztec_half(rect, n)
+    domain, forward, inverse = on_domain("biscuit_expand", n)
+    assert domain == crossing_rects(biscuit_half(n), Axis(0, half=True))
+    for rect in domain:
+        grown = forward(rect, n)
         assert classify(grown, Axis(0)) is not CrossingClass.NON_CROSSING
-        assert shrink_to_biscuit_half(grown, n) == rect
-
-
-def test_expand_rejects_non_crossing():
-    with pytest.raises(ValueError):
-        expand_to_aztec_half(LatticeRect(1, 2, 0, 1), 2)
-    with pytest.raises(ValueError):
-        shrink_to_biscuit_half(LatticeRect(1, 2, 0, 1), 2)
+        assert inverse(grown, n) == rect
 
 
 # --- exhaustive verification -------------------------------------------------------
@@ -215,11 +203,9 @@ def test_maps_return_their_own_value_types(name):
 def test_verify_bijection_runs_no_guard(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"guard called on {args}")
-    monkeypatch.setattr(bijections, "_require", refuse)
-    monkeypatch.setattr(bijections, "classify", refuse)
+    monkeypatch.setattr(counting, "classify", refuse)
     monkeypatch.setattr(CellRegion, "contains_rect", refuse)
-    with pytest.raises(AssertionError):
-        fold_left_heavy(LatticeRect(-2, 1, 0, 1), 2)  # the public maps do call it
+    assert not hasattr(bijections, "classify")  # so no copy escapes the patch
     for name in BIJECTION_NAMES:
         assert verify_bijection(name, 6).verified, name
 
@@ -231,8 +217,9 @@ def test_type_c_codomain_is_the_staircase_rectangles_on_the_axis():
 
 
 def test_verify_bijection_guards():
-    with pytest.raises(ValueError):
-        verify_bijection("nosuch", 3)
+    for name in ["nosuch", ["quadruple"], {}]:
+        with pytest.raises(ValueError, match="^unknown bijection "):
+            verify_bijection(name, 3)
     with pytest.raises(ValueError):
         verify_bijection("quadruple", 0)
     with pytest.raises(ValueError):
@@ -277,7 +264,7 @@ def test_verify_bijection_reports_a_raising_inverse(monkeypatch):
     report = verify_bijection("type_l", 3)
     assert (report.is_injective, report.is_surjective, report.roundtrip_ok) == (True, True, False)
     x, y, message = report.counterexample
-    assert (x, y) == (LatticeRect(-3, 1, 0, 1), fold_left_heavy(x, 3))
+    assert (x, y) == (LatticeRect(-3, 1, 0, 1), bijections._COORDS["type_l"][0](x, 3))
     assert message == f"refused {y}"
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import latticerect
-from latticerect import CellRegion, LatticeRect, geometry, oeis
+from latticerect import CellRegion, LatticeRect, bijections, geometry, oeis
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -48,10 +48,14 @@ def test_a_fresh_import_loads_each_module_on_first_use():
 
 
 def test_removed_names_stay_removed():
+    maps = ("staircase_to_quadruple", "quadruple_to_staircase", "fold_left_heavy",
+            "unfold_left_heavy", "anchor_centered", "unanchor_centered",
+            "expand_to_aztec_half", "shrink_to_biscuit_half")
     for name in ("Dihedral", "transform", "format_bfile", "binomial", "split_half",
-                 "split_staircases"):
+                 "split_staircases", *maps):
         assert name not in latticerect.__all__ and not hasattr(latticerect, name)
         assert name not in dir(latticerect)
+    assert not any(hasattr(bijections, name) for name in (*maps, "_require"))
     assert not hasattr(oeis, "format_bfile")
     assert not any(hasattr(geometry, name) for name in ("split_half", "split_staircases"))
     assert not any(hasattr(CellRegion, name)

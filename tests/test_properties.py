@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from conftest import classify_tally, count_by_column_pairs, rect_cells, symmetries
 from latticerect import bijections, counting
 from latticerect import (Axis, BFile, CellRegion, Corner, CrossingClass, Family,
-                         LatticeRect, Part, ShapeSpec, Side, anchor_centered,
-                         build, classify, count_breakdown, count_fast, count_naive,
-                         expand_to_aztec_half, fold_left_heavy, parse_bfile,
-                         parse_shape_spec, quadruple_to_staircase, rectangles,
-                         shrink_to_biscuit_half, staircase_to_quadruple,
-                         unanchor_centered, unfold_left_heavy)
+                         LatticeRect, Part, ShapeSpec, Side, build, classify,
+                         count_breakdown, count_fast, count_naive, parse_bfile,
+                         parse_shape_spec, rectangles, verify_bijection)
 
 OFFSETS = st.integers(-10**9, 10**9)
 
@@ -265,31 +262,30 @@ def in_biscuit_half(r, n):  # larger: row j spans [j-n+1, n-j)
     return 0 <= r.c and r.d <= n and r.d - n <= r.a and r.b <= n - r.d + 1
 
 
-#: forward map, its inverse, and the forward map's domain at order n
-BIJECTION_MAPS = {
-    "quadruple": (staircase_to_quadruple, quadruple_to_staircase, in_staircase),
-    "type_l": (fold_left_heavy, unfold_left_heavy, lambda r, n: (
-        in_aztec_half(r, n) and classify(r, Axis(0)) is CrossingClass.LEFT)),
-    "type_c": (lambda r, _n: anchor_centered(r), lambda r, _n: unanchor_centered(r),
-               lambda r, _n: r.a == -r.b),
-    "biscuit_expand": (expand_to_aztec_half, shrink_to_biscuit_half, lambda r, n: (
+#: each map's domain at order n, in closed form
+IN_DOMAIN = {
+    "quadruple": in_staircase,
+    "type_l": lambda r, n: in_aztec_half(r, n) and classify(r, Axis(0)) is CrossingClass.LEFT,
+    "type_c": lambda r, n: in_aztec_half(r, n) and r.a == -r.b,
+    "biscuit_expand": lambda r, n: (
         in_biscuit_half(r, n)
-        and classify(r, Axis(0, half=True)) is not CrossingClass.NON_CROSSING)),
+        and classify(r, Axis(0, half=True)) is not CrossingClass.NON_CROSSING),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BIJECTION_MAPS))
+@pytest.mark.parametrize("name", sorted(IN_DOMAIN))
 def test_public_maps_are_their_guard_then_their_table_entry(name):
-    forward, inverse, _ = BIJECTION_MAPS[name]
+    """The maps' one public route is ``verify_bijection``: its name and order guard,
+    then the ``_MAPS`` entry, which replays the ``_COORDS`` pair unwrapped."""
     table_forward, table_inverse = bijections._COORDS[name]
     for n in range(1, 9):
         domain, codomain, replay_forward, replay_inverse = bijections._MAPS[name](n)
         assert (replay_forward, replay_inverse) == (table_forward, table_inverse)
-        for x in domain:
-            y = forward(x, n)
-            assert y == table_forward(x, n) and type(y) is type(table_forward(x, n))
-        for y in codomain:
-            assert inverse(y, n) == table_inverse(y, n)
+        images = [table_forward(x, n) for x in domain]
+        assert set(images) == codomain and len(images) == len(codomain)
+        assert {type(y) for y in images} == {type(y) for y in codomain}  # not bare tuples
+        assert [table_inverse(y, n) for y in images] == list(domain)
+        assert verify_bijection(name, n).verified, (name, n)
 
 
 @st.composite
@@ -305,28 +301,23 @@ def rects_near_shapes(draw, max_n=8):
     return LatticeRect(a, b, c, d), n
 
 
-@pytest.mark.parametrize("name", sorted(BIJECTION_MAPS))
+@pytest.mark.parametrize("name", sorted(IN_DOMAIN))
 @settings(deadline=None, max_examples=200)
 @given(case=rects_near_shapes())
 def test_bijection_maps_accept_exactly_their_domain_and_invert(name, case):
-    forward, inverse, in_domain = BIJECTION_MAPS[name]
     rect, n = case
-    try:
+    domain, codomain, forward, inverse = bijections._MAPS[name](n)
+    assert (member := rect in set(domain)) == IN_DOMAIN[name](rect, n)
+    if member:
         image = forward(rect, n)
-    except ValueError:
-        assert not in_domain(rect, n)
-        return
-    assert in_domain(rect, n)
-    assert inverse(image, n) == rect
+        assert image in codomain and inverse(image, n) == rect
 
 
-@settings(deadline=None)
-@given(st.sampled_from([unfold_left_heavy, shrink_to_biscuit_half]), rects_near_shapes())
-def test_inverse_maps_refuse_rectangles_outside_the_aztec_half(inverse, case):
-    rect, n = case
-    if not in_aztec_half(rect, n):
-        with pytest.raises(ValueError):
-            inverse(rect, n)
+def test_inverse_maps_take_only_rectangles_of_the_aztec_half():
+    for name in ("type_l", "biscuit_expand"):
+        for n in range(1, 9):
+            codomain = bijections._MAPS[name](n)[1]
+            assert all(in_aztec_half(r, n) for r in codomain), (name, n)
 
 
 def rows_by_formula(spec: ShapeSpec) -> dict:

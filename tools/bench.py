@@ -23,10 +23,13 @@ in and each end-to-end metric's bound, come from ``BENCHMARK.json``.
 It writes ``BENCH_<L>.json`` at the repository root: both revisions, the
 seeds, the run length, and for each workload and metric both sides' values,
 medians and quartiles, the ratio change / base, the pairs the change won and
-whether the change median is within the metric's ``bound`` of the base median;
+lost, the exact two-sided sign-test p-value ``p_sign`` of those pairs (ties
+dropped), and whether the change median is within the metric's ``bound`` of the
+base median;
 under ``layers``, each workload's per-layer metrics from the traced runs,
 both sides' values and medians and the ratio of the medians, which show where
-a change lands.
+a change lands.  The last line before the file name names every end-to-end row
+with ``p_sign`` < 0.05: one run can reach that by chance, so a claim needs a repeat.
 Exit status 0 on success; 1 if any run fails or reports a wrong value (no file
 is written then); 2 for a bad argument or a revision git cannot archive.
 Only per-process time is measured, as ``perfbench/run.py`` measures it.
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import re
 import shutil
 import statistics
@@ -48,6 +52,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: Where BENCH_<label>.json goes.
 TRAIL = ROOT
+#: A row whose sign test falls below this is named in the summary line.
+SIGN_LEVEL = 0.05
 #: The traced runs per side and workload, at most: one sample can read 1.44x on unrun code.
 TRACED_SEEDS = 3
 SIDES = ("base", "change")
@@ -78,10 +84,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """The exact two-sided sign-test p-value of ``wins`` against ``losses`` under a fair
+    coin: twice the chance of a split at least as uneven, at most 1 (1 for no pairs)."""
+    pairs = wins + losses
+    return min(1.0, 2 * sum(math.comb(pairs, k) for k in range(min(wins, losses) + 1))
+               / 2 ** pairs)
+
+
 def summarize(base: list[float], change: list[float], better: str, bound: float) -> dict:
     """Both sides' pair values, medians and quartiles, the median ratio change / base,
-    the pairs whose change value is strictly better than its base value, and whether
-    the change median is worse than the base median by at most ``bound`` of it."""
+    the pairs whose change value is strictly better (wins) or strictly worse (losses)
+    than its base value, the sign test of those, ties dropped, and whether the change
+    median is worse than the base median by at most ``bound`` of it."""
     sides = {}
     for side, values in zip(SIDES, (base, change)):
         q1, median, q3 = quartiles(values)
@@ -89,9 +104,11 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
     b, c = sides["base"], sides["change"]
     beats = (lambda new, old: new < old) if better == "lower" else (lambda new, old: new > old)
     sign = 1 if better == "lower" else -1
+    wins, losses = sum(map(beats, change, base)), sum(map(beats, base, change))
     return {**sides, "better": better,
             "ratio": c["median"] / b["median"] if b["median"] else None,
-            "wins": sum(map(beats, change, base)), "pairs": len(base),
+            "wins": wins, "losses": losses, "pairs": len(base),
+            "p_sign": sign_test(wins, losses),
             "change_median_in_base_iqr": b["q1"] <= c["median"] <= b["q3"],
             "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["iqr"],
             "within_bound": sign * (c["median"] - b["median"]) <= bound * abs(b["median"])}
@@ -213,16 +230,22 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
     }
     path = TRAIL / f"BENCH_{label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
+    signed = []
     for workload, table in report["workloads"].items():
         for name, row in table.items():
             print(f"{workload} {name}: base {row['base']['median']:.5g} "
                   f"(IQR {row['base']['iqr']:.3g}) change {row['change']['median']:.5g} "
                   f"ratio {row['ratio'] if row['ratio'] is None else round(row['ratio'], 4)} "
-                  f"wins {row['wins']}/{row['pairs']} within_bound {row['within_bound']}")
+                  f"wins {row['wins']}/{row['pairs']} losses {row['losses']} "
+                  f"p_sign {row['p_sign']:.3g} within_bound {row['within_bound']}")
+            if row["p_sign"] < SIGN_LEVEL:
+                signed.append(f"{workload} {name} ({row['wins']} better, {row['losses']} "
+                              f"worse, p {row['p_sign']:.3g})")
         for name, row in report["layers"][workload].items():
             base, change = row["base"]["median"], row["change"]["median"]
             if name.endswith(".ms") and base and change:
                 print(f"{workload} {name} (traced): base {base:.4g} change {change:.4g}")
+    print(f"sign test p < {SIGN_LEVEL}: {'; '.join(signed) or 'no row'}")
     print(f"wrote {path}")
     return 0
 

@@ -39,6 +39,7 @@ def test_summary_of_a_lower_is_better_metric():
     assert (row["base"]["q1"], row["base"]["q3"], row["base"]["iqr"]) == (2.0, 4.0, 2.0)
     assert row["ratio"] == pytest.approx(2.5 / 3.0)
     assert row["wins"] == 3 and row["pairs"] == 5  # a tie (5.0 against 5.0) is no win
+    assert row["losses"] == 1 and row["p_sign"] == pytest.approx(10 / 16)  # 3 of 4, no tie
     assert row["change_median_in_base_iqr"] and not row["gap_exceeds_base_iqr"]
     assert row["within_bound"]
 
@@ -58,6 +59,36 @@ def test_summary_of_a_higher_is_better_metric():
 ])
 def test_within_bound_allows_a_worse_median_by_at_most_the_bound(better, change, within):
     assert bench.summarize([1.0], [change], better, 0.25)["within_bound"] is within
+
+
+@pytest.mark.parametrize("change, wins, losses, p", [
+    ([0.5] * 9 + [2.0], 9, 1, 22 / 1024),
+    ([2.0] * 9 + [0.5], 1, 9, 22 / 1024),  # two-sided
+    ([0.5] * 10, 10, 0, 2 / 1024),
+    ([0.5] * 9 + [1.0], 9, 0, 2 / 512),  # the tie is dropped: 9 of 9
+    ([0.5] * 4 + [1.0] * 6, 4, 0, 2 / 16),
+    ([0.5] * 5 + [2.0] * 5, 5, 5, 1.0),
+    ([1.0] * 10, 0, 0, 1.0),
+])
+def test_a_summary_row_carries_its_exact_sign_test(change, wins, losses, p):
+    row = bench.summarize([1.0] * 10, change, "lower", 0.25)
+    assert (row["wins"], row["losses"], row["pairs"]) == (wins, losses, 10)
+    assert row["p_sign"] == pytest.approx(p)
+
+
+def test_the_summary_line_names_every_row_below_the_sign_level(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench, "TRAIL", tmp_path)
+    _fake_runs(monkeypatch)  # the change differs from the base in every pair
+    for pairs, named in ((5, []), (6, METRICS)):  # 5 of 5 has p = 2/32, 6 of 6 p = 2/64
+        assert bench.main(["compare", "--base", "HEAD", "--label", "t", "--pairs", str(pairs),
+                           "--seconds", "2", "--workloads", "verify"]) == 0
+        line = capsys.readouterr().out.splitlines()[-2]
+        assert line.startswith("sign test p < 0.05: ")
+        # the change's values are higher: better only for cells_per_s
+        wins = {name: 6 if name == "cells_per_s" else 0 for name in named}
+        assert line.split(": ", 1)[1] == "; ".join(
+            f"verify {name} ({wins[name]} better, {6 - wins[name]} worse, p 0.0312)"
+            for name in named) or "no row"
 
 
 def test_a_zero_base_median_has_no_ratio():
