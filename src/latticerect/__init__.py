@@ -12,8 +12,7 @@ _HOMES = {name: module for module, names in {
     "bijections": ("BijectionReport", "Quadruple", "verify_bijection"),
     "counting": ("CountBreakdown", "CrossingClass", "classify", "count_breakdown",
                  "count_fast", "count_formula", "count_naive", "rectangles"),
-    "formulas": ("OEIS_IDS", "SequenceId", "aztec_half_rects", "aztec_rects",
-                 "biscuit_half_rects", "biscuit_rects", "evaluate", "staircase_rects"),
+    "formulas": ("OEIS_IDS", "SequenceId", "evaluate"),
     "geometry": ("Axis", "CellRegion", "Corner", "Family", "LatticeRect", "Part", "ShapeError",
                  "ShapeSpec", "Side", "aztec", "aztec_half", "biscuit", "biscuit_half", "build",
                  "parse_shape_spec", "staircase", "vertical_axis"),

@@ -9,12 +9,11 @@ same way, so the closed forms' identities are replayed.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Callable, Optional
 
 from .counting import CrossingClass, _row_bands, rectangles
-from .geometry import (Axis, CellRegion, LatticeRect, ShapeSpec, _Four, _integer, _Record,
+from .geometry import (Axis, CellRegion, LatticeRect, _Four, _integer, _Record,
                        aztec_half, biscuit_half, build, staircase, vertical_axis)
 
 #: Exhaustive verification is guarded to small orders; domain sizes grow as n^4.
@@ -23,12 +22,6 @@ MAX_VERIFY_ORDER = 20
 _AZTEC_AXIS, _BISCUIT_AXIS = vertical_axis(aztec_half(1)), vertical_axis(biscuit_half(1))
 #: The classes of a rectangle whose interior meets the axis, in b order for each a.
 _CROSSING = (CrossingClass.LEFT, CrossingClass.CENTERED, CrossingClass.RIGHT)
-
-
-@functools.lru_cache(maxsize=8)
-def _built(shape: Callable[[int], ShapeSpec], n: int) -> CellRegion:
-    """build(shape(n)), once per shape and order: the maps verified at one order share it."""
-    return build(shape(n))
 
 
 def _crossing_rects(region: CellRegion, axis: Axis,
@@ -97,17 +90,17 @@ class BijectionReport(_Record):
 #: name -> order -> (domain in enumeration order, codomain, forward, inverse)
 _MAPS: dict[str, Callable[[int], tuple]] = {
     "quadruple": lambda n: (
-        list(rectangles(_built(staircase, n))),
+        list(rectangles(build(staircase(n)))),
         {Quadruple(*q) for q in itertools.combinations(range(n + 3), 4)}, *_COORDS["quadruple"]),
     "type_l": lambda n: (
-        _crossing_rects(_built(aztec_half, n), _AZTEC_AXIS, (CrossingClass.LEFT,)),
-        set(rectangles(_built(staircase, n - 1).translate(1, 0))), *_COORDS["type_l"]),
+        _crossing_rects(build(aztec_half(n)), _AZTEC_AXIS, (CrossingClass.LEFT,)),
+        set(rectangles(build(staircase(n - 1)).translate(1, 0))), *_COORDS["type_l"]),
     "type_c": lambda n: (
-        _crossing_rects(_built(aztec_half, n), _AZTEC_AXIS, (CrossingClass.CENTERED,)),
-        set(_crossing_rects(_built(staircase, n), _BISCUIT_AXIS)), *_COORDS["type_c"]),  # a = 0
+        _crossing_rects(build(aztec_half(n)), _AZTEC_AXIS, (CrossingClass.CENTERED,)),
+        set(_crossing_rects(build(staircase(n)), _BISCUIT_AXIS)), *_COORDS["type_c"]),  # a = 0
     "biscuit_expand": lambda n: (
-        _crossing_rects(_built(biscuit_half, n), _BISCUIT_AXIS),
-        set(_crossing_rects(_built(aztec_half, n), _AZTEC_AXIS)), *_COORDS["biscuit_expand"]),
+        _crossing_rects(build(biscuit_half(n)), _BISCUIT_AXIS),
+        set(_crossing_rects(build(aztec_half(n)), _AZTEC_AXIS)), *_COORDS["biscuit_expand"]),
 }
 
 BIJECTION_NAMES = tuple(_MAPS)

@@ -6,6 +6,7 @@ asserted where a criterion states one.
 """
 import random
 import time
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -13,10 +14,9 @@ import pytest
 
 from conftest import quadrants, random_row_convex
 from latticerect import (Axis, CrossingClass, aztec, aztec_half,
-                         aztec_half_rects, aztec_rects, biscuit, biscuit_half,
-                         biscuit_half_rects, biscuit_rects, build,
+                         biscuit, biscuit_half, build,
                          count_breakdown, count_fast, count_naive, evaluate,
-                         staircase, staircase_rects,
+                         staircase,
                          verify_bijection)
 from latticerect.bijections import BIJECTION_NAMES
 from latticerect.cli import main
@@ -33,7 +33,9 @@ FAMILIES = {
     SequenceId.BISCUIT: biscuit,
 }
 
-s = staircase_rects
+s = partial(evaluate, SequenceId.STAIRCASE)
+ah = partial(evaluate, SequenceId.AZTEC_HALF)
+bh = partial(evaluate, SequenceId.BISCUIT_HALF)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -49,8 +51,8 @@ def _verdict(number: int, detail: str) -> None:
 def test_criterion_1_base_values():
     started = time.perf_counter()
     expected = {aztec(1): 9, aztec_half(1): 3, biscuit(1): 1, biscuit_half(1): 1}
-    formula = {aztec(1): aztec_rects(1), aztec_half(1): aztec_half_rects(1),
-               biscuit(1): biscuit_rects(1), biscuit_half(1): biscuit_half_rects(1)}
+    formula = {aztec(1): evaluate(SequenceId.AZTEC, 1), aztec_half(1): ah(1),
+               biscuit(1): evaluate(SequenceId.BISCUIT, 1), biscuit_half(1): bh(1)}
     for spec, value in expected.items():
         region = build(spec)
         assert count_naive(region) == value
@@ -86,20 +88,20 @@ def test_criterion_3_breakdown_identities():
         assert half.by_class[CrossingClass.NON_CROSSING] == 2 * s(n)
 
         diamond = count_breakdown(build(aztec(n)), delta)
-        assert diamond.crossing == aztec_half_rects(n) + aztec_half_rects(n - 1)
+        assert diamond.crossing == ah(n) + ah(n - 1)
 
         round_shape = count_breakdown(build(biscuit(n)), half_delta)
-        assert round_shape.crossing == biscuit_half_rects(n) + biscuit_half_rects(n - 1)
+        assert round_shape.crossing == bh(n) + bh(n - 1)
         assert round_shape.by_class[CrossingClass.NON_CROSSING] == \
-            2 * biscuit_half_rects(n - 1)
+            2 * bh(n - 1)
 
         bhalf = count_breakdown(build(biscuit_half(n)), half_delta)
         assert bhalf.crossing == s(n) + s(n - 1)
         assert bhalf.by_class[CrossingClass.NON_CROSSING] == 2 * s(n - 1)
 
         # the assembled identities behind the closed forms
-        assert half.total == 3 * s(n) + s(n - 1) == aztec_half_rects(n)
-        assert bhalf.total == s(n) + 3 * s(n - 1) == biscuit_half_rects(n)
+        assert half.total == 3 * s(n) + s(n - 1) == ah(n)
+        assert bhalf.total == s(n) + 3 * s(n - 1) == bh(n)
     _verdict(3, "crossing-class identities exact for n=2..12")
 
 
@@ -113,20 +115,20 @@ def test_criterion_10_breakdown_identities_at_large_order():
         assert half.by_class[CrossingClass.RIGHT] == s(n - 1)
         assert half.by_class[CrossingClass.CENTERED] == s(n) - s(n - 1)
         assert half.by_class[CrossingClass.NON_CROSSING] == 2 * s(n)
-        assert half.total == 3 * s(n) + s(n - 1) == aztec_half_rects(n)
+        assert half.total == 3 * s(n) + s(n - 1) == ah(n)
 
         diamond = count_breakdown(build(aztec(n)), delta)
-        assert diamond.crossing == aztec_half_rects(n) + aztec_half_rects(n - 1)
+        assert diamond.crossing == ah(n) + ah(n - 1)
 
         round_shape = count_breakdown(build(biscuit(n)), half_delta)
-        assert round_shape.crossing == biscuit_half_rects(n) + biscuit_half_rects(n - 1)
+        assert round_shape.crossing == bh(n) + bh(n - 1)
         assert round_shape.by_class[CrossingClass.NON_CROSSING] == \
-            2 * biscuit_half_rects(n - 1)
+            2 * bh(n - 1)
 
         bhalf = count_breakdown(build(biscuit_half(n)), half_delta)
         assert bhalf.crossing == s(n) + s(n - 1)
         assert bhalf.by_class[CrossingClass.NON_CROSSING] == 2 * s(n - 1)
-        assert bhalf.total == s(n) + 3 * s(n - 1) == biscuit_half_rects(n)
+        assert bhalf.total == s(n) + 3 * s(n - 1) == bh(n)
 
         # criterion 4's domain sizes, checked exhaustively there for n <= 12:
         # type_l folds the LEFT class and type_c the CENTERED one (above), and
@@ -204,7 +206,7 @@ def test_criterion_7_fast_kernel_at_order_2000():
     assert region.cell_count == 2 * 2000 * 2001  # ~8.0M cells
     value = count_fast(region)
     elapsed = time.perf_counter() - started
-    assert value == aztec_rects(2000)
+    assert value == evaluate(SequenceId.AZTEC, 2000)
     assert elapsed < 10.0
     _verdict(7, f"count_fast(aztec:2000) = {value} in {elapsed:.2f}s")
 
@@ -228,7 +230,7 @@ def test_criterion_9_cli_golden_and_exit_codes(capsys, tmp_path, monkeypatch):
     # one failure case per exit-code class
     assert main(["count", "staircase:0"]) == 2  # usage/parse
 
-    lines = [f"{n} {evaluate(SequenceId.AZTEC_HALF, n)}" for n in range(1, 21)]
+    lines = [f"{n} {ah(n)}" for n in range(1, 21)]
     lines[0] = "1 4"
     (tmp_path / "A004320.bfile").write_text("\n".join(lines) + "\n")
     assert main(["oeis", "--ids", "A004320", "--source", "cache",

@@ -1,17 +1,18 @@
 import itertools
+from functools import partial
 from math import comb
 
 import pytest
 
 from conftest import (check_four_tuple, check_record, refuse_type_l_forward,
                       refuse_type_l_inverse)
-from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, Quadruple, ShapeSpec,
-                         aztec_half, biscuit_half, build, classify, rectangles, staircase,
-                         staircase_rects, verify_bijection)
+from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, Quadruple, SequenceId,
+                         ShapeSpec, aztec_half, biscuit_half, build, classify, evaluate,
+                         rectangles, staircase, verify_bijection)
 from latticerect import bijections, counting
 from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER, BijectionReport
 
-s = staircase_rects
+s = partial(evaluate, SequenceId.STAIRCASE)
 
 
 def crossing_rects(spec, axis, wanted=None):
@@ -230,7 +231,6 @@ def test_verify_bijection_guards():
 def test_verify_bijection_refuses_a_non_integer_order_before_building(monkeypatch, n):
     built = []
     monkeypatch.setattr(bijections, "build", lambda spec: built.append(spec) or build(spec))
-    bijections._built.cache_clear()
     message = rf"^order must be an integer in 1\.\.{MAX_VERIFY_ORDER}, got "
     with pytest.raises(ValueError, match=message) as err:
         verify_bijection("quadruple", n)
@@ -251,7 +251,6 @@ def test_verify_bijection_builds_each_shape_once(monkeypatch, name):
     monkeypatch.setattr(bijections, "build", lambda spec: built.append(spec) or build(spec))
     init = ShapeSpec.__init__
     monkeypatch.setattr(ShapeSpec, "__init__", lambda spec, *a: init(spec, *a) or made.append(spec))
-    bijections._built.cache_clear()
     assert verify_bijection(name, 6).verified
     assert built and len(built) == len(set(built)), built
     # the maps look their shapes up by constructor and order, not by a fresh ShapeSpec

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import refuse_type_l_forward, refuse_type_l_inverse
 import latticerect
-from latticerect import (Family, LatticeRect, SequenceId, bijections, cli, counting, evaluate,
-                         staircase_rects)
+from latticerect import Family, LatticeRect, SequenceId, bijections, cli, counting, evaluate
 from latticerect.cli import entry_point, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -206,9 +205,10 @@ def test_count_formula_guard_refuses_a_count_past_the_int_string_limit(
                                  f"count may pass Python's {limit}-digit int string limit\n")
         assert evaluated == []
     elif extra:
-        assert (result[0], json.loads(result[1])["counts"]) == (0, {"formula": staircase_rects(n)})
+        assert (result[0], json.loads(result[1])["counts"]) == (
+            0, {"formula": evaluate(SequenceId.STAIRCASE, n)})
     else:
-        assert result == (0, f"staircase:{n}:dl: {staircase_rects(n)}\n", "")
+        assert result == (0, f"staircase:{n}:dl: {evaluate(SequenceId.STAIRCASE, n)}\n", "")
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit")

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from latticerect import counting
 from latticerect import (Axis, CellRegion, CrossingClass, Family, LatticeRect, aztec,
                          aztec_half, biscuit, biscuit_half, build, classify,
                          count_breakdown, count_fast, count_formula, count_naive,
-                         parse_shape_spec, rectangles, staircase,
-                         staircase_rects, verify_bijection)
+                         parse_shape_spec, rectangles, staircase, verify_bijection)
 from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER
 from latticerect.cli import FAST_MAX_ORDER, NAIVE_MAX_ORDER, main
 from latticerect.counting import _box_spans
@@ -242,7 +242,7 @@ def test_verify_at_the_largest_accepted_naive_order(capsys):
 
 def test_verify_bijection_at_the_largest_accepted_order():
     # about 1.3 s for all four maps on a 2-core x86-64 host
-    n, s = MAX_VERIFY_ORDER, staircase_rects
+    n, s = MAX_VERIFY_ORDER, partial(evaluate, SequenceId.STAIRCASE)
     expected = {"quadruple": s(n), "type_l": s(n - 1),
                 "type_c": s(n) - s(n - 1), "biscuit_expand": s(n) + s(n - 1)}
     started = time.perf_counter()
@@ -507,7 +507,7 @@ def test_breakdown_biscuit_half_crossing():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_breakdown_identities_small(n):
-    s = staircase_rects
+    s = partial(evaluate, SequenceId.STAIRCASE)
     half = count_breakdown(build(aztec_half(n)), Axis(0))
     assert half.by_class[CrossingClass.LEFT] == s(n - 1)
     assert half.by_class[CrossingClass.RIGHT] == s(n - 1)
@@ -564,10 +564,10 @@ def test_count_family_methods_agree_on_spot_specs():
 
 
 def test_count_family_smaller_half_uses_previous_order():
-    from latticerect import Part, biscuit_half_rects
+    from latticerect import Part
     for n in range(1, 8):
         spec = biscuit_half(n, Part.SMALLER)
-        assert count_formula(spec) == biscuit_half_rects(n - 1)
+        assert count_formula(spec) == evaluate(SequenceId.BISCUIT_HALF, n - 1)
         assert count_naive(build(spec)) == count_formula(spec)
 
 
@@ -578,6 +578,5 @@ def test_count_family_staircase_orientation_irrelevant():
 
 
 def test_count_fast_matches_formula_at_larger_orders():
-    from latticerect import aztec_rects, biscuit_rects
-    assert count_fast(build(aztec(64))) == aztec_rects(64)
-    assert count_fast(build(biscuit(64))) == biscuit_rects(64)
+    assert count_fast(build(aztec(64))) == evaluate(SequenceId.AZTEC, 64)
+    assert count_fast(build(biscuit(64))) == evaluate(SequenceId.BISCUIT, 64)

@@ -1,14 +1,19 @@
 import math
 import random
+from functools import partial
 
+import numpy as np
 import pytest
 
-from latticerect import (OEIS_IDS, Family, SequenceId, aztec, aztec_half,
-                         aztec_half_rects, aztec_rects, biscuit,
-                         biscuit_half, biscuit_half_rects, biscuit_rects,
-                         build, count_fast, count_naive, evaluate, staircase,
-                         staircase_rects)
+from latticerect import (OEIS_IDS, Family, SequenceId, aztec, aztec_half, biscuit,
+                         biscuit_half, build, count_fast, count_naive, evaluate, staircase)
 from latticerect import formulas
+
+s = partial(evaluate, SequenceId.STAIRCASE)
+ah = partial(evaluate, SequenceId.AZTEC_HALF)
+bh = partial(evaluate, SequenceId.BISCUIT_HALF)
+a = partial(evaluate, SequenceId.AZTEC)
+b = partial(evaluate, SequenceId.BISCUIT)
 
 SEQUENCES = {
     SequenceId.STAIRCASE: [1, 5, 15, 35, 70, 126, 210, 330, 495, 715],
@@ -44,14 +49,14 @@ def test_binomial_pascal_recurrence():
 
 
 def test_base_values():
-    assert staircase_rects(0) == 0
-    assert staircase_rects(1) == 1
-    assert aztec_half_rects(1) == 3
-    assert biscuit_half_rects(1) == 1
-    assert aztec_rects(1) == 9
-    assert biscuit_rects(1) == 1
-    assert aztec_half_rects(0) == 0
-    assert biscuit_half_rects(0) == 0
+    assert s(0) == 0
+    assert s(1) == 1
+    assert ah(1) == 3
+    assert bh(1) == 1
+    assert a(1) == 9
+    assert b(1) == 1
+    assert ah(0) == 0
+    assert bh(0) == 0
 
 
 @pytest.mark.parametrize("seq", list(SequenceId))
@@ -65,18 +70,18 @@ def _sample_orders():
 
 
 def test_binomial_and_polynomial_forms_agree():
-    # every call cross-checks its forms internally and raises on disagreement
+    # every call cross-checks its split and factored forms and raises on disagreement
     for n in _sample_orders():
-        assert aztec_half_rects(n) == 3 * staircase_rects(n) + staircase_rects(n - 1)
-        assert biscuit_half_rects(n) == staircase_rects(n) + 3 * staircase_rects(n - 1)
-        assert aztec_rects(n) == n * (n + 1) * (4 * n * n + 12 * n + 11) // 6
-        assert biscuit_rects(n) == n * (n + 1) * (4 * n * n - 4 * n + 3) // 6
+        assert ah(n) == 3 * s(n) + s(n - 1)
+        assert bh(n) == s(n) + 3 * s(n - 1)
+        assert a(n) == n * (n + 1) * (4 * n * n + 12 * n + 11) // 6
+        assert b(n) == n * (n + 1) * (4 * n * n - 4 * n + 3) // 6
 
 
 def test_recurrences():
     for n in _sample_orders():
-        assert aztec_rects(n) == 3 * aztec_half_rects(n) + aztec_half_rects(n - 1)
-        assert biscuit_rects(n) == biscuit_half_rects(n) + 3 * biscuit_half_rects(n - 1)
+        assert a(n) == 3 * ah(n) + ah(n - 1)
+        assert b(n) == bh(n) + 3 * bh(n - 1)
 
 
 def test_evaluate_dispatch():
@@ -117,14 +122,25 @@ def test_oeis_id_mapping():
 
 def test_form_disagreement_raises(monkeypatch):
     monkeypatch.setattr(formulas, "binomial", lambda n, k: math.comb(n, k) + 1)
-    with pytest.raises(RuntimeError, match=r"aztec_half_rects\(3\)"):
-        aztec_half_rects(3)
+    with pytest.raises(RuntimeError, match=r"AZTEC_HALF\(3\)"):
+        ah(3)
 
 
-@pytest.mark.parametrize("half", [aztec_half_rects, biscuit_half_rects])
+@pytest.mark.parametrize("half", [SequenceId.AZTEC_HALF, SequenceId.BISCUIT_HALF])
 def test_half_counts_refuse_a_negative_order(half):
     with pytest.raises(ValueError, match="order must be >= 0"):
-        half(-1)
+        evaluate(half, -1)
+
+
+@pytest.mark.parametrize("seq", list(SequenceId))
+def test_evaluate_takes_its_order_through_integer(seq):
+    # a numpy order is exact past int64 (aztec at 10^5 overflowed its factored form);
+    # a bool or a non-integral order is no order, even where it compares equal to one
+    assert evaluate(seq, np.int64(10**5)) == evaluate(seq, 10**5)
+    assert type(evaluate(seq, np.int64(10**5))) is int
+    for n in (True, False, 2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="order must be >= [01] and an integer, got "):
+            evaluate(seq, n)
 
 
 #: family -> its canonical shape at order n, and its coefficients in the basis
@@ -155,9 +171,36 @@ def test_closed_forms_are_fixed_by_the_oracle(family):
     seq = SequenceId[family.name]
     assert all(_in_basis(coefficients, n) == evaluate(seq, n) for n in range(1, 301))
     if family is Family.STAIRCASE:  # its one nonzero term, C(n+3, 4), is defined at n = 0
-        assert _in_basis(expected, 0) == staircase_rects(0) == 0
+        assert _in_basis(expected, 0) == s(0) == 0
     # a polynomial of degree <= 4 from n = 1 on, so the five oracle values fix it
     values = [count_fast(build(shape(n))) for n in range(1, 81)]
     for _ in range(5):
         values = [b - a for a, b in zip(values, values[1:])]
     assert values == [0] * 75
+
+
+def test_split_weights_convolve_into_the_oracle_forms():
+    # each row splits X into w Y(n) + (4 - w) Y(n-1): shifting Y's coefficients in the
+    # C(n+3-j, 4) basis by one place, so X's are Y's convolved with (w, 4 - w)
+    def coefficients(code):
+        y, w = formulas._SPLITS[code][:2]
+        if y is None:
+            return [1]  # C(n+3, 4) itself
+        inner = coefficients(y)
+        return [w * hi + (4 - w) * lo for hi, lo in zip(inner + [0], [0] + inner)]
+
+    for family, (_, expected) in ORACLE_FORMS.items():
+        assert tuple(coefficients(SequenceId[family.name].value)) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_breakdown_refuses_the_staircase(n):
+    with pytest.raises(ValueError, match="^STAIRCASE has no vertical axis"):
+        formulas.breakdown(SequenceId.STAIRCASE, n)
+
+
+def test_breakdown_refuses_an_order_below_the_lowest():
+    for seq, n in [(SequenceId.AZTEC, 0), (SequenceId.BISCUIT, 0), (SequenceId.AZTEC_HALF, -1),
+                   (SequenceId.BISCUIT_HALF, True), (SequenceId.AZTEC, 2.0)]:
+        with pytest.raises(ValueError, match="order must be >= "):
+            formulas.breakdown(seq, n)

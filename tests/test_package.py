@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import latticerect
-from latticerect import CellRegion, LatticeRect, bijections, geometry, oeis
+from latticerect import CellRegion, LatticeRect, bijections, formulas, geometry, oeis
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -51,11 +51,15 @@ def test_removed_names_stay_removed():
     maps = ("staircase_to_quadruple", "quadruple_to_staircase", "fold_left_heavy",
             "unfold_left_heavy", "anchor_centered", "unanchor_centered",
             "expand_to_aztec_half", "shrink_to_biscuit_half")
+    closed_forms = ("staircase_rects", "aztec_half_rects", "biscuit_half_rects", "aztec_rects",
+                    "biscuit_rects")
     for name in ("Dihedral", "transform", "format_bfile", "binomial", "split_half",
-                 "split_staircases", *maps):
+                 "split_staircases", *maps, *closed_forms):
         assert name not in latticerect.__all__ and not hasattr(latticerect, name)
         assert name not in dir(latticerect)
-    assert not any(hasattr(bijections, name) for name in (*maps, "_require"))
+    assert not any(hasattr(bijections, name) for name in (*maps, "_require", "_built"))
+    assert not any(hasattr(formulas, name) for name in (*closed_forms, "_agree", "_DISPATCH"))
+    assert "breakdown" not in latticerect.__all__
     assert not hasattr(oeis, "format_bfile")
     assert not any(hasattr(geometry, name) for name in ("split_half", "split_staircases"))
     assert not any(hasattr(CellRegion, name)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import classify_tally, count_by_column_pairs, rect_cells, symmetries
-from latticerect import bijections, counting
+from latticerect import bijections, counting, formulas
 from latticerect import (Axis, BFile, CellRegion, Corner, CrossingClass, Family,
-                         LatticeRect, Part, ShapeSpec, Side, build, classify,
+                         LatticeRect, Part, SequenceId, ShapeSpec, Side, build, classify,
                          count_breakdown, count_fast, count_naive, parse_bfile,
-                         parse_shape_spec, rectangles, verify_bijection)
+                         parse_shape_spec, rectangles, verify_bijection, vertical_axis)
 
 OFFSETS = st.integers(-10**9, 10**9)
 
@@ -240,6 +240,22 @@ def test_build_gives_the_cells_of_the_inequalities(case):
     inside, box = IN_SHAPE[spec.variant or spec.family], range(-spec.n - 1, spec.n + 2)
     assert {(i - x, j - y) for i, j in region.cells()} == {
         (i, j) for i in box for j in box if inside(spec.n, i, j)}
+
+
+#: the four axis families, each with every variant that keeps a vertical symmetry axis
+AXIS_SHAPES = [(family, variant) for family, variants in {
+    Family.AZTEC: [None], Family.BISCUIT: [None], Family.AZTEC_HALF: [Side.TOP, Side.BOTTOM],
+    Family.BISCUIT_HALF: list(Part)}.items() for variant in variants]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(AXIS_SHAPES), st.integers(1, 200))
+def test_formula_breakdown_equals_the_band_breakdown(shape, n):
+    family, variant = shape
+    spec = ShapeSpec(family, n, variant)
+    order = n - (variant is Part.SMALLER)  # the larger half of order n - 1
+    assert formulas.breakdown(SequenceId[family.name], order) == \
+        count_breakdown(build(spec), vertical_axis(spec))
 
 
 @given(st.dictionaries(st.integers(-10**6, 10**30), st.integers(-10**40, 10**40)))
