@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 #: Each public name's home module, which ``__getattr__`` imports on the name's first use.
 _HOMES = {name: module for module, names in {
-    "bijections": ("BijectionReport", "Quadruple", "verify_bijection"),
+    "bijections": ("BijectionReport", "verify_bijection"),
     "counting": ("CountBreakdown", "CrossingClass", "classify", "count_breakdown",
                  "count_fast", "count_formula", "count_naive", "rectangles"),
     "formulas": ("OEIS_IDS", "SequenceId", "evaluate"),

@@ -2,10 +2,10 @@
 
 Each map is a concrete coordinate transformation between two finite rectangle
 families, paired with its inverse; ``_COORDS`` writes each pair once, as integer
-affine maps of (a, b, c, d) given the order n.  ``verify_bijection`` runs the entries
-on the domain that ``_MAPS`` lists, with ``rectangles`` or ``_crossing_rects``, and
-checks injectivity, surjectivity and the roundtrip against the codomain it lists the
-same way, so the closed forms' identities are replayed.
+affine maps from (a, b, c, d) and the order n to a plain 4-tuple.  ``verify_bijection``
+runs the entries on the domain that ``_MAPS`` lists, with ``rectangles`` or
+``_crossing_rects``, and checks injectivity, surjectivity and the roundtrip against the
+codomain it lists the same way, so the closed forms' identities are replayed.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ import itertools
 from typing import Callable, Optional
 
 from .counting import CrossingClass, _row_bands, rectangles
-from .geometry import (Axis, CellRegion, LatticeRect, _Four, _integer, _Record,
-                       aztec_half, biscuit_half, build, staircase, vertical_axis)
+from .geometry import (Axis, CellRegion, LatticeRect, _integer, _Record, aztec_half,
+                       biscuit_half, build, staircase, vertical_axis)
 
 #: Exhaustive verification is guarded to small orders; domain sizes grow as n^4.
 MAX_VERIFY_ORDER = 20
@@ -36,37 +36,22 @@ def _crossing_rects(region: CellRegion, axis: Axis,
             for k in range(3) if _CROSSING[k] in classes for b in range(cuts[k], cuts[k + 1])]
 
 
-class Quadruple(_Four):
-    """Strictly increasing integer quadruple 0 <= a < b < c < d."""
-
-    __slots__ = ()
-
-    def __new__(cls, a, b, c, d):
-        self = tuple.__new__(cls, (a, b, c, d))
-        if not type(a) is type(b) is type(c) is type(d) is int:
-            if None in (ints := tuple(map(_integer, self))):
-                raise ValueError(f"quadruple entries must be integers, got {self}")
-            a, b, c, d = self = tuple.__new__(cls, ints)
-        if not (0 <= a < b < c < d):
-            raise ValueError(f"not strictly increasing from 0: {self}")
-        return self
-
-
-#: name -> (forward, inverse), each called as (rect, n) on its domain; the quadruple
-#: map is one formula both ways, made as a Quadruple and as a LatticeRect.
+#: name -> (forward, inverse), each called as (rect, n) on its domain: integer affine maps
+#: that return plain (a, b, c, d) tuples, since the replay only compares and hashes its
+#: images and a LatticeRect equals, and hashes as, its plain tuple.
 _COORDS: dict[str, tuple[Callable, Callable]] = {
-    # y -> n+2-y sets the staircase above y = x + 1, where 0 <= a < b < c < d <= n+2
-    "quadruple": tuple(map(lambda make: lambda r, n: make(r[0], r[1], n + 2 - r[3], n + 2 - r[2]),
-                           (Quadruple, LatticeRect))),
+    # y -> n+2-y sets the staircase above y = x + 1, where 0 <= a < b < c < d <= n+2;
+    # it is its own inverse
+    "quadruple": (lambda r, n: (r[0], r[1], n + 2 - r[3], n + 2 - r[2]),) * 2,
     # reflect across x = 0, drop the right part: staircase(n-1), one column right of the axis
-    "type_l": (lambda r, _n: LatticeRect(r[1], -r[0], r[2], r[3]),
-               lambda r, _n: LatticeRect(-r[1], r[0], r[2], r[3])),
+    "type_l": (lambda r, _n: (r[1], -r[0], r[2], r[3]),
+               lambda r, _n: (-r[1], r[0], r[2], r[3])),
     # a centered [-b, b] x [c, d] is identified with its right part [0, b] x [c, d]
-    "type_c": (lambda r, _n: LatticeRect(0, r[1], r[2], r[3]),
-               lambda r, _n: LatticeRect(-r[1], r[1], r[2], r[3])),
+    "type_c": (lambda r, _n: (0, r[1], r[2], r[3]),
+               lambda r, _n: (-r[1], r[1], r[2], r[3])),
     # a column inserted left of the biscuit half's axis makes the aztec half: [a-1, b] x [c, d]
-    "biscuit_expand": (lambda r, _n: LatticeRect(r[0] - 1, r[1], r[2], r[3]),
-                       lambda r, _n: LatticeRect(r[0] + 1, r[1], r[2], r[3])),
+    "biscuit_expand": (lambda r, _n: (r[0] - 1, r[1], r[2], r[3]),
+                       lambda r, _n: (r[0] + 1, r[1], r[2], r[3])),
 }
 
 
@@ -91,7 +76,7 @@ class BijectionReport(_Record):
 _MAPS: dict[str, Callable[[int], tuple]] = {
     "quadruple": lambda n: (
         list(rectangles(build(staircase(n)))),
-        {Quadruple(*q) for q in itertools.combinations(range(n + 3), 4)}, *_COORDS["quadruple"]),
+        set(itertools.combinations(range(n + 3), 4)), *_COORDS["quadruple"]),
     "type_l": lambda n: (
         _crossing_rects(build(aztec_half(n)), _AZTEC_AXIS, (CrossingClass.LEFT,)),
         set(rectangles(build(staircase(n - 1)).translate(1, 0))), *_COORDS["type_l"]),

@@ -33,28 +33,12 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
-class _Four(tuple):
-    """Four named entries as an immutable tuple: equal to, and hashed as, the plain tuple."""
+class LatticeRect(tuple):
+    """Axis-aligned lattice rectangle [a, b] x [c, d] with a < b and c < d: an immutable
+    4-tuple with named entries, equal to, and hashed as, the plain tuple."""
 
     __slots__ = ()
     a, b, c, d = (property(itemgetter(k)) for k in range(4))
-    _FORMAT = "({},{},{},{})"  # the str() layout
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(self)  # copy and every pickle protocol rebuild through __new__
-
-    def __repr__(self) -> str:
-        return "{}(a={!r}, b={!r}, c={!r}, d={!r})".format(type(self).__name__, *self)
-
-    def __str__(self) -> str:
-        return self._FORMAT.format(*self)
-
-
-class LatticeRect(_Four):
-    """Axis-aligned lattice rectangle [a, b] x [c, d] with a < b and c < d."""
-
-    __slots__ = ()
-    _FORMAT = "[{},{}]x[{},{}]"
 
     def __new__(cls, a, b, c, d):
         self = tuple.__new__(cls, (a, b, c, d))
@@ -65,6 +49,15 @@ class LatticeRect(_Four):
         if not (a < b and c < d):
             raise ShapeError(f"degenerate rectangle {self}")
         return self
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)  # copy and every pickle protocol rebuild through __new__
+
+    def __repr__(self) -> str:
+        return "LatticeRect(a={!r}, b={!r}, c={!r}, d={!r})".format(*self)
+
+    def __str__(self) -> str:
+        return "[{},{}]x[{},{}]".format(*self)
 
     @property
     def width(self) -> int:

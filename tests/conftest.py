@@ -90,7 +90,7 @@ def classify_tally(region: CellRegion, axis: Axis) -> dict:
 
 
 def check_four_tuple(value, text: str) -> None:
-    """The value-type contract of LatticeRect and Quadruple: an immutable 4-tuple,
+    """The value-type contract of LatticeRect: an immutable 4-tuple,
     hashed as the plain tuple, with an exact repr, that copies and pickles as itself."""
     assert value == tuple(value) and hash(value) == hash(tuple(value))
     assert repr(value) == text

@@ -4,11 +4,10 @@ from math import comb
 
 import pytest
 
-from conftest import (check_four_tuple, check_record, refuse_type_l_forward,
-                      refuse_type_l_inverse)
-from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, Quadruple, SequenceId,
-                         ShapeSpec, aztec_half, biscuit_half, build, classify, evaluate,
-                         rectangles, staircase, verify_bijection)
+from conftest import check_record, refuse_type_l_forward, refuse_type_l_inverse
+from latticerect import (Axis, CellRegion, CrossingClass, LatticeRect, SequenceId, ShapeSpec,
+                         aztec_half, biscuit_half, build, classify, evaluate, rectangles,
+                         staircase, verify_bijection)
 from latticerect import bijections, counting
 from latticerect.bijections import BIJECTION_NAMES, MAX_VERIFY_ORDER, BijectionReport
 
@@ -34,14 +33,14 @@ def on_domain(name, n):
 def test_single_cell_staircase_encodes_to_0123():
     domain, forward, _ = on_domain("quadruple", 1)
     assert domain == [LatticeRect(0, 1, 0, 1)]
-    assert forward(LatticeRect(0, 1, 0, 1), 1) == Quadruple(0, 1, 2, 3)
+    assert forward(LatticeRect(0, 1, 0, 1), 1) == (0, 1, 2, 3)
 
 
 def test_order_2_rects_biject_with_quadruples():
     domain, forward, _ = on_domain("quadruple", 2)
     assert domain == list(rectangles(build(staircase(2))))
     quads = {forward(r, 2) for r in domain}
-    assert quads == {Quadruple(*combo) for combo in itertools.combinations(range(5), 4)}
+    assert quads == set(itertools.combinations(range(5), 4))
     assert len(quads) == comb(5, 4) == 5
 
 
@@ -49,25 +48,18 @@ def test_order_2_rects_biject_with_quadruples():
 def test_quadruple_roundtrip(n):
     domain, forward, inverse = on_domain("quadruple", n)
     for rect in domain:
-        q = forward(rect, n)
-        assert 0 <= q.a < q.b < q.c < q.d <= n + 2
+        a, b, c, d = q = forward(rect, n)
+        assert 0 <= a < b < c < d <= n + 2
         assert inverse(q, n) == rect
 
 
 def test_quadruple_rejects_out_of_range():
-    for q in [(2, 4, 0, 3), (-1, 1, 2, 3), (0, 1, 2, 3.5), (0, 1, 2, True)]:
-        with pytest.raises(ValueError):
-            Quadruple(*q)
-    with pytest.raises(ValueError):
-        Quadruple(0, 2, 2, 3)
-    with pytest.raises(ValueError):
-        Quadruple(-1, 1, 2, 3)
-
-
-def test_quadruple_is_an_immutable_four_tuple():
-    q = Quadruple(0, 1, 2, 3)
-    check_four_tuple(q, "Quadruple(a=0, b=1, c=2, d=3)")
-    assert (q.a, q.b, q.c, q.d) == (0, 1, 2, 3) and str(q) == "(0,1,2,3)"
+    # the codomain holds the strictly increasing integer quadruples from 0 to n + 2 only
+    codomain = bijections._MAPS["quadruple"](3)[1]
+    assert (0, 1, 2, 5) in codomain
+    for q in [(2, 4, 0, 3), (-1, 1, 2, 3), (0, 1, 2, 3.5), (0, 1, 2, True), (0, 2, 2, 3),
+              (0, 1, 2, 6)]:
+        assert q not in codomain
 
 
 def test_bijection_report_is_a_read_only_value():
@@ -82,13 +74,6 @@ def test_bijection_report_is_a_read_only_value():
     check_record(failed, "BijectionReport(name='type_l', order=3, domain_size=2, image_size=1, "
                  "is_injective=False, is_surjective=True, roundtrip_ok=False, counterexample="
                  "(LatticeRect(a=0, b=1, c=0, d=1), 'refused'))")
-
-
-def test_quadruple_takes_numpy_integers_as_ints():
-    np = pytest.importorskip("numpy")
-    q = Quadruple(np.int8(0), np.int64(1), 2, np.uint16(3))
-    check_four_tuple(q, "Quadruple(a=0, b=1, c=2, d=3)")
-    assert all(type(x) is int for x in q)
 
 
 # --- left-heavy fold ----------------------------------------------------------
@@ -113,7 +98,7 @@ def test_fold_left_heavy_roundtrip(n):
     assert domain == crossing_rects(aztec_half(n), Axis(0), CrossingClass.LEFT)
     for rect in domain:
         folded = forward(rect, n)
-        assert folded.a >= 1
+        assert folded[0] >= 1
         assert inverse(folded, n) == rect
 
 
@@ -192,13 +177,28 @@ def test_verify_bijection_small_orders(name):
 
 @pytest.mark.parametrize("name", BIJECTION_NAMES)
 def test_maps_return_their_own_value_types(name):
-    # equal entries make a LatticeRect equal a Quadruple, so pin the types
+    # an image is a rectangle, or for the quadruple map a strictly increasing quadruple,
+    # and its inverse image is the domain rectangle's entries
     n = 5
     domain, _, forward, inverse = bijections._MAPS[name](n)
-    image_type = Quadruple if name == "quadruple" else LatticeRect
     for x in domain:
-        y = forward(x, n)
-        assert type(y) is image_type and type(inverse(y, n)) is LatticeRect
+        a, b, c, d = y = forward(x, n)
+        assert 0 <= a < b < c < d if name == "quadruple" else LatticeRect(*y) == y
+        assert LatticeRect(*inverse(y, n)) == x
+
+
+@pytest.mark.parametrize("name", BIJECTION_NAMES)
+def test_maps_compute_plain_int_tuples(name):
+    for n in range(1, 9):
+        domain, codomain, forward, inverse = bijections._MAPS[name](n)
+        for x in domain:
+            y = forward(x, n)
+            for image in (y, inverse(y, n)):
+                assert type(image) is tuple and len(image) == 4, (name, n, image)
+                assert all(type(v) is int for v in image), (name, n, image)
+        if name == "quadruple":
+            assert codomain == set(itertools.combinations(range(n + 3), 4))
+            assert len(codomain) == evaluate(SequenceId.STAIRCASE, n)
 
 
 def test_verify_bijection_runs_no_guard(monkeypatch):

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import check_four_tuple, check_record, flip_x, quadrants
 from latticerect import (Axis, CellRegion, Corner, Family, LatticeRect, Part,
-                         Quadruple, ShapeError, ShapeSpec, Side, aztec,
-                         aztec_half, biscuit, biscuit_half, build,
-                         parse_shape_spec, staircase, vertical_axis)
+                         ShapeError, ShapeSpec, Side, aztec, aztec_half,
+                         biscuit, biscuit_half, build, parse_shape_spec,
+                         staircase, vertical_axis)
 from latticerect import (count_breakdown, count_fast, count_naive, rectangles,
                          render_ascii, render_svg)
 
@@ -177,9 +177,9 @@ def test_rect_refuses_non_integer_coordinates(coords):
 
 @pytest.mark.parametrize("b", [1.0, True, "1", None])
 def test_maps_refuse_a_non_integer_rectangle(b):
-    # Quadruple checks its entries, so the quadruple map's input cannot be made
-    with pytest.raises(ValueError, match="quadruple entries must be integers"):
-        Quadruple(0, b, 4, 5)
+    # a map's domain lists LatticeRects, and a LatticeRect refuses the rectangle
+    with pytest.raises(ShapeError, match="rectangle coordinates must be integers"):
+        LatticeRect(0, b, 4, 5)
 
 
 def test_numpy_integers_are_coordinates():
@@ -195,7 +195,6 @@ def test_numpy_integers_are_stored_as_ints():
         (CellRegion(np.int64(5), ()), ("row0",)),
         (ShapeSpec(Family.AZTEC, np.uint16(3)), ("n",)),
         (LatticeRect(np.int64(-3), np.int32(1), 0, np.uint8(1)), ("a", "b", "c", "d")),
-        (Quadruple(np.int64(0), np.int8(1), 2, np.uint64(3)), ("a", "b", "c", "d")),
     ]:
         assert all(type(getattr(value, name)) is int for name in fields), value
 

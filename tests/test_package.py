@@ -54,14 +54,15 @@ def test_removed_names_stay_removed():
     closed_forms = ("staircase_rects", "aztec_half_rects", "biscuit_half_rects", "aztec_rects",
                     "biscuit_rects")
     for name in ("Dihedral", "transform", "format_bfile", "binomial", "split_half",
-                 "split_staircases", *maps, *closed_forms):
+                 "split_staircases", "Quadruple", *maps, *closed_forms):
         assert name not in latticerect.__all__ and not hasattr(latticerect, name)
         assert name not in dir(latticerect)
-    assert not any(hasattr(bijections, name) for name in (*maps, "_require", "_built"))
+    assert not any(hasattr(bijections, name)
+                   for name in (*maps, "_require", "_built", "Quadruple"))
     assert not any(hasattr(formulas, name) for name in (*closed_forms, "_agree", "_DISPATCH"))
     assert "breakdown" not in latticerect.__all__
     assert not hasattr(oeis, "format_bfile")
-    assert not any(hasattr(geometry, name) for name in ("split_half", "split_staircases"))
+    assert not any(hasattr(geometry, name) for name in ("split_half", "split_staircases", "_Four"))
     assert not any(hasattr(CellRegion, name)
                    for name in ("from_cells", "row_span", "__contains__", "rows"))
     assert not hasattr(LatticeRect, "cells")

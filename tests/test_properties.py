@@ -299,7 +299,7 @@ def test_public_maps_are_their_guard_then_their_table_entry(name):
         assert (replay_forward, replay_inverse) == (table_forward, table_inverse)
         images = [table_forward(x, n) for x in domain]
         assert set(images) == codomain and len(images) == len(codomain)
-        assert {type(y) for y in images} == {type(y) for y in codomain}  # not bare tuples
+        assert all(type(v) is int for y in images for v in y)  # exact entries
         assert [table_inverse(y, n) for y in images] == list(domain)
         assert verify_bijection(name, n).verified, (name, n)
 

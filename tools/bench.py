@@ -28,8 +28,12 @@ dropped), and whether the change median is within the metric's ``bound`` of the
 base median;
 under ``layers``, each workload's per-layer metrics from the traced runs,
 both sides' values and medians and the ratio of the medians, which show where
-a change lands.  The last line before the file name names every end-to-end row
-with ``p_sign`` < 0.05: one run can reach that by chance, so a claim needs a repeat.
+a change lands; under ``passes``, the passes each untraced run completed (the
+``passes`` of its ``info`` line), both sides' values and medians per workload.
+``peak_rss_mib`` grows with the passes a run completes, so its printed row
+carries both sides' median passes.  The last line before the file name names
+every end-to-end row with ``p_sign`` < 0.05: one run can reach that by chance,
+so a claim needs a repeat.
 Exit status 0 on success; 1 if any run fails or reports a wrong value (no file
 is written then); 2 for a bad argument or a revision git cannot archive.
 Only per-process time is measured, as ``perfbench/run.py`` measures it.
@@ -185,6 +189,7 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
         return 2
     values = {w: {m: {side: [] for side in SIDES} for m in metrics} for w in workloads}
     layers = {w: {m: {side: [] for side in SIDES} for m in per_layer} for w in workloads}
+    passes = {w: {side: [] for side in SIDES} for w in workloads}
     machine: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="latticerect-bench-") as tmp:
         trees = build_trees(commit, Path(tmp))
@@ -195,6 +200,7 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
                     if refused(code, result, f"pair {pair + 1} {workload} {side} (seed {seed})"):
                         return 1
                     machine.setdefault(side, info.get("machine", {}))
+                    passes[workload][side].append(info.get("passes"))
                     for name in metrics:
                         values[workload][name][side].append(result["metrics"][name]["value"])
                     print(f"pair {pair + 1}/{pairs} {workload} {side} seed {seed}: solve_s "
@@ -227,17 +233,24 @@ def compare(base: str, label: str, pairs: int, seconds: float, workloads: list[s
                               **layer_medians(row["base"], row["change"])}
                        for name, row in layers[w].items()}
                    for w in workloads},
+        "passes": {w: {side: {"values": runs,
+                              "median": None if None in runs else statistics.median(runs)}
+                       for side, runs in passes[w].items()}
+                   for w in workloads},
     }
     path = TRAIL / f"BENCH_{label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     signed = []
     for workload, table in report["workloads"].items():
+        done = report["passes"][workload]
         for name, row in table.items():
+            work = (f" passes {done['base']['median']} -> {done['change']['median']}"
+                    if name == "peak_rss_mib" else "")
             print(f"{workload} {name}: base {row['base']['median']:.5g} "
                   f"(IQR {row['base']['iqr']:.3g}) change {row['change']['median']:.5g} "
                   f"ratio {row['ratio'] if row['ratio'] is None else round(row['ratio'], 4)} "
                   f"wins {row['wins']}/{row['pairs']} losses {row['losses']} "
-                  f"p_sign {row['p_sign']:.3g} within_bound {row['within_bound']}")
+                  f"p_sign {row['p_sign']:.3g} within_bound {row['within_bound']}{work}")
             if row["p_sign"] < SIGN_LEVEL:
                 signed.append(f"{workload} {name} ({row['wins']} better, {row['losses']} "
                               f"worse, p {row['p_sign']:.3g})")

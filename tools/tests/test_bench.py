@@ -97,9 +97,10 @@ def test_a_zero_base_median_has_no_ratio():
 
 def _fake_runs(monkeypatch, fail=None, traced=None):
     """Replace the run.py subprocess: each side's solve_s is 1 (base) or 2 (change)
-    plus the seed / 1000; returns the list of (side, workload, seed) untraced runs
-    made.  A traced run gives every per-layer metric 4 (base) or 3 (change) plus
-    the seed / 1000, and is listed in ``traced`` instead; ``fail`` names the
+    plus the seed / 1000, and its info line's passes 100 (base) or 120 (change) plus
+    the seed; returns the list of (side, workload, seed) untraced runs made.  A
+    traced run gives every per-layer metric 4 (base) or 3 (change) plus the
+    seed / 1000, and is listed in ``traced`` instead; ``fail`` names the
     (side, workload, trace) run that reports a wrong value."""
     calls, traced = [], [] if traced is None else traced
 
@@ -112,7 +113,9 @@ def _fake_runs(monkeypatch, fail=None, traced=None):
                   "attempted": 3, "failed": 0,
                   "metrics": {name: {"value": value + seed / 1000, "unit": "x"}
                               for name in names}}
-        return 0, {"machine": {"src_lines": 10 if side == "base" else 11}}, result
+        info = {"machine": {"src_lines": 10 if side == "base" else 11},
+                "passes": (100 if side == "base" else 120) + seed}
+        return 0, info, result
 
     monkeypatch.setattr(bench, "run_side", run_side)
     return calls
@@ -132,7 +135,7 @@ def test_compare_writes_every_field_of_the_bench_file(monkeypatch, tmp_path):
                      ("base", "count_tall", 42), ("change", "count_tall", 42)]
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert set(report) == {"label", "base", "change", "pairs", "seconds", "seeds", "first",
-                           "measured", "machine", "workloads", "layers"}
+                           "measured", "machine", "workloads", "layers", "passes"}
     head = bench.git("rev-parse", "HEAD")
     assert report["base"] == {"rev": "HEAD", "commit": head, "dirty": False}
     assert report["change"]["commit"] == head and isinstance(report["change"]["dirty"], bool)
@@ -150,6 +153,25 @@ def test_compare_writes_every_field_of_the_bench_file(monkeypatch, tmp_path):
         assert table["cells_per_s"]["wins"] == 3  # higher is better there
         # solve_s doubles, past its 0.25 bound; cells_per_s doubles, which is better
         assert solve["within_bound"] is False and table["cells_per_s"]["within_bound"] is True
+
+
+def test_compare_records_each_runs_passes_next_to_peak_rss(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench, "TRAIL", tmp_path)
+    traced = []
+    _fake_runs(monkeypatch, traced=traced)
+    assert bench.main(["compare", "--base", "HEAD", "--label", "t", "--pairs", "3",
+                       "--seconds", "1", "--workloads", "verify,cli_cold",
+                       "--seed0", "5"]) == 0
+    assert traced  # the traced runs' info lines add no passes
+    passes = json.loads((tmp_path / "BENCH_t.json").read_text())["passes"]
+    assert passes == {w: {"base": {"values": [105, 106, 107], "median": 106},
+                          "change": {"values": [125, 126, 127], "median": 126}}
+                      for w in ("verify", "cli_cold")}
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("verify ", "cli_cold ")) and "within_bound" in line]
+    assert len(rows) == 2 * len(METRICS)
+    for line in rows:
+        assert line.endswith(" passes 106 -> 126") == (" peak_rss_mib: " in line), line
 
 
 def test_compare_adds_one_traced_run_per_side_and_workload(monkeypatch, tmp_path):
@@ -247,6 +269,7 @@ def test_one_real_pair_of_head_against_head(monkeypatch, tmp_path):
             for side, info in report["machine"].items()} == {"base": True, "change": True}
     solve = report["workloads"]["verify"]["solve_s"]
     assert solve["pairs"] == 1 and solve["base"]["values"][0] > 0
+    assert all(report["passes"]["verify"][side]["median"] >= 1 for side in ("base", "change"))
     naive = report["layers"]["verify"]["counting.count_naive.calls"]
     assert naive["base"]["values"] == naive["change"]["values"]  # one traced run a side
     assert naive["base"]["median"] == naive["change"]["median"] > 0  # same seed, same work
